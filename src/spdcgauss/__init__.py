@@ -3,7 +3,7 @@ parametric down-conversion from a bulk uniaxial crystal into single
 transverse Gaussian modes, for collinear and non-collinear geometries.
 """
 
-from . import cli, config, constants, materials, modes, numerics, rates
+from . import config, constants, materials, modes, numerics, rates
 from .config import builtin_config_path, load_config
 from .errors import (
     ComputationError,
@@ -11,19 +11,16 @@ from .errors import (
     DegenerateDispersion,
     EnergyMismatch,
     NegativeH,
-    NonConvergence,
     OutOfRange,
     OverwriteRefused,
     ParseError,
     SpdcGaussError,
-    TailBoundFailure,
     UnequalWaists,
     UnknownMaterial,
     ValidationError,
 )
 from .materials import CrystalSpec, MaterialRecord, SellmeierSet, load_material_db
 from .modes import GaussianMode, OverlapGeometry, Role
-from .numerics import QuadratureResult
 from .rates import (
     AngleConvention,
     PolarizationAssignment,

@@ -110,6 +110,21 @@ def _load(args) -> rates.SourceConfig:
     return cfgmod.load_config(args.config, args.material_db, overrides)
 
 
+def _require_finite(args, *names):
+    """Refuse NaN and infinite float flags before they reach np.linspace,
+    which would warn on stderr."""
+    for name in names:
+        if not math.isfinite(getattr(args, name)):
+            raise ValidationError(f"--{name.replace('_', '-')} must be a finite number")
+
+
+def _xi_list(text):
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(f"--xi {text!r}: expected comma-separated numbers") from None
+
+
 def _overlap_rows(xis, lo, hi, points):
     grid = np.linspace(lo, hi, points)
     rows = []
@@ -121,7 +136,7 @@ def _overlap_rows(xis, lo, hi, points):
 
 def _xi_rows(lo, hi, points):
     grid = np.linspace(lo, hi, points)
-    return [(float(x), rates.spectral_integral_S(float(x))) for x in grid]
+    return list(zip(grid.tolist(), rates.spectral_integral_S(grid).tolist()))
 
 
 def _gamma_rows(lo, hi, points):
@@ -157,7 +172,8 @@ def cmd_rate(args) -> RunManifest:
 
 
 def cmd_spectrum(args) -> RunManifest:
-    xis = tuple(float(x) for x in args.xi.split(",")) if args.xi else FIG_OVERLAP_XIS
+    xis = _xi_list(args.xi) if args.xi else FIG_OVERLAP_XIS
+    _require_finite(args, "dphi_min", "dphi_max")
     lo, hi, points = args.dphi_min, args.dphi_max, args.points
     if not lo < hi:
         raise ValidationError("require --dphi-min < --dphi-max")
@@ -190,6 +206,7 @@ def cmd_spectrum(args) -> RunManifest:
 
 
 def cmd_sweep_xi(args) -> RunManifest:
+    _require_finite(args, "xi_min", "xi_max")
     if not (0 <= args.xi_min < args.xi_max):
         raise ValidationError("require 0 <= --xi-min < --xi-max")
     if args.points < 2:

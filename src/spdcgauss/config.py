@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from importlib import resources
 
 from . import materials
@@ -40,6 +41,8 @@ def _get(d: dict, path: str, typ, required=True, default=None):
             raise ValidationError(f"missing required field {path!r}")
         return default
     if typ is float and isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+        if not abs(leaf) <= sys.float_info.max:  # NaN, +-inf, ints beyond float
+            raise ValidationError(f"field {path!r} must be a finite number")
         return float(leaf)
     if typ is int and isinstance(leaf, int) and not isinstance(leaf, bool):
         return leaf

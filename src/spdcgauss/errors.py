@@ -16,16 +16,6 @@ class ComputationError(SpdcGaussError):
     or the inputs are outside the validity of the model."""
 
 
-class NonConvergence(ComputationError):
-    """Adaptive quadrature failed to meet tolerance within the evaluation
-    budget; usually signals a pathological integrand."""
-
-
-class TailBoundFailure(ComputationError):
-    """The tail estimate of an infinite-range integral still exceeds the
-    tolerance at the maximum truncation half-width."""
-
-
 class OutOfRange(ComputationError):
     """Wavelength outside the validity window of a dispersion model."""
 

@@ -118,8 +118,10 @@ class CrystalSpec:
     phi_c: float
 
     def __post_init__(self):
-        if not self.length_l > 0:
-            raise ValidationError("crystal length_l must be > 0")
+        if not 0 < self.length_l < math.inf:
+            raise ValidationError("crystal length_l must be finite and > 0")
+        if not math.isfinite(self.d22_m_per_v):
+            raise ValidationError("crystal d22 must be finite")
         if not 0 <= self.theta_c <= math.pi / 2:
             raise ValidationError("theta_c must lie in [0, pi/2]")
         if not 0 <= self.phi_c < 2 * math.pi:

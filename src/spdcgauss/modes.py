@@ -14,6 +14,12 @@ waists and tilt angles, Xi = sqrt(H) l/2 the walk-off parameter and
 dphi = K l/2 the accumulated longitudinal phase mismatch.  Collinear
 geometry (Xi = 0) reproduces the familiar sinc; large Xi is the
 overlap-limited regime where the crystal length drops out.
+
+Both numerical quantities have a fixed cost.  Phi_z integrates an entire
+function over [0, 1] on a composite Gauss-Legendre rule whose panel
+count follows the largest phase and the Gaussian decay; the spectral
+integral S(Xi) = int |Phi_z/l|^2 d(dphi) is evaluated in closed form
+through Plancherel's identity.
 """
 
 from __future__ import annotations
@@ -46,6 +52,15 @@ __all__ = [
 # floating-point cancellation and clamped to zero (1/m^2)
 H_CLAMP = 1e-18
 
+# largest |delta_phi| phi_z accepts: the rule takes about |delta_phi|
+# nodes, so this caps one overlap value at ~1e5 cosines and keeps the
+# node arrays far below the 2^20-double block, whatever the input
+DELTA_PHI_MAX = 1e5
+# phi_z truncates its range where exp(-Xi^2 u^2) < 1e-27, at u = 8/Xi
+_GAUSS_CUTOFF = 8.0
+# rows of one cos(delta_phi u) block hold at most this many doubles
+_BLOCK = 1 << 20
+
 
 class Role(str, enum.Enum):
     PUMP = "pump"
@@ -72,12 +87,14 @@ class GaussianMode:
     role: Role
 
     def __post_init__(self):
-        if not self.waist_w > 0:
-            raise ValidationError(f"{self.role.value}.waist must be > 0")
-        if not self.lambda_vac > 0:
-            raise ValidationError(f"{self.role.value}.wavelength must be > 0")
-        if not self.n >= 1.0:
-            raise ValidationError(f"{self.role.value}.n must be >= 1")
+        if not 0 < self.waist_w < math.inf:
+            raise ValidationError(f"{self.role.value}.waist must be finite and > 0")
+        if not 0 < self.lambda_vac < math.inf:
+            raise ValidationError(f"{self.role.value}.wavelength must be finite and > 0")
+        if not 1.0 <= self.n < math.inf:
+            raise ValidationError(f"{self.role.value}.n must be finite and >= 1")
+        if not math.isfinite(self.theta):
+            raise ValidationError(f"{self.role.value}.theta must be finite")
         if self.role is Role.PUMP and self.theta != 0.0:
             raise ValidationError("pump tilt must be 0 (pump defines the z-axis)")
 
@@ -174,44 +191,41 @@ def geometry_coefficients(
     return OverlapGeometry(A=A, C=C, D=D, F=F, H=H, Xi=Xi)
 
 
-def phi_z(xi: float, delta_phi, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-          _chunk: int = 1536):
+def phi_z(xi: float, delta_phi):
     """Dimensionless longitudinal overlap
 
         Phi_z / l = int_0^1 exp(-Xi^2 u^2) cos(delta_phi u) du
 
-    evaluated by adaptive quadrature.  ``delta_phi`` may be a scalar or
-    an ndarray (the integrals are computed in one vectorised pass).
+    on the composite Gauss-Legendre rule of :mod:`numerics`.  For
+    Xi > 8 the range is cut at u = U = 8/Xi, where the weight has fallen
+    below 1e-27 (otherwise U = 1); the ``1 + ceil(max(|delta_phi|, 2 Xi)
+    U / GL_ORDER)`` equal panels on [0, U] keep each panel within
+    GL_ORDER radians of phase and of Gaussian decay.  ``delta_phi`` may be
+    a scalar or an ndarray, with ``|delta_phi| <= DELTA_PHI_MAX``.
     Equals sinc(delta_phi) at Xi = 0 and (sqrt(pi)/(2 Xi)) erf(Xi) at
     delta_phi = 0.
     """
-    if xi < 0:
-        raise ValidationError("Xi must be >= 0")
+    if not 0 <= xi < math.inf:
+        raise ValidationError("Xi must be finite and >= 0")
     arr = np.atleast_1d(np.asarray(delta_phi, dtype=float))
     if arr.size == 0:
         return np.empty(0)
-    if arr.size > _chunk:
-        # process in |delta_phi|-sorted chunks so the panel seeding of a
-        # chunk matches its own oscillation scale
-        order = np.argsort(np.abs(arr), kind="stable")
-        out = np.empty_like(arr)
-        for i in range(0, arr.size, _chunk):
-            idx = order[i:i + _chunk]
-            out[idx] = phi_z(xi, arr[idx], rel_tol, abs_tol, _chunk)
-        return out
     amax = float(np.max(np.abs(arr)))
-    n0 = max(1, int(np.ceil(amax / numerics.PHASE_PER_PANEL)), int(np.ceil(xi)))
-    xi2 = xi * xi
-
-    def integrand(u):
-        return np.exp(-xi2 * (u * u))[None, :] * np.cos(arr[:, None] * u[None, :])
-
-    res = numerics.integrate_finite(integrand, 0.0, 1.0, rel_tol, abs_tol,
-                                    initial_intervals=n0)
-    values = np.atleast_1d(res.value)
+    if not amax <= DELTA_PHI_MAX:
+        raise ValidationError(
+            f"delta_phi must be finite with |delta_phi| <= {DELTA_PHI_MAX:g}")
+    upper = min(1.0, _GAUSS_CUTOFF / xi) if xi > 0 else 1.0
+    panels = 1 + math.ceil(max(amax, 2.0 * xi) * upper / numerics.GL_ORDER)
+    u, w = numerics.gauss_legendre(0.0, upper, panels)
+    weights = w * np.exp(-np.square(xi * u))
+    out = np.empty(arr.size)
+    rows = _BLOCK // u.size  # >= 10: DELTA_PHI_MAX bounds u.size near 1e5
+    for i in range(0, arr.size, rows):
+        block = np.outer(arr[i:i + rows], u)
+        out[i:i + rows] = np.cos(block, out=block) @ weights
     if np.ndim(delta_phi) == 0:
-        return float(values[0])
-    return values
+        return float(out[0])
+    return out
 
 
 def phi_z_thin(delta_phi):
@@ -230,7 +244,7 @@ def phi_z_thick(xi: float) -> float:
     """
     if not xi > 0:
         raise ValidationError("Xi must be > 0 (use phi_z for the Xi=0 limit)")
-    return math.sqrt(math.pi) / (2.0 * xi) * numerics.erf(xi)
+    return math.sqrt(math.pi) / (2.0 * xi) * math.erf(xi)
 
 
 def longitudinal_k(geom: OverlapGeometry, delta_k_y: float, delta_k_z: float) -> float:
@@ -271,26 +285,25 @@ def updated_with_mismatch(geom: OverlapGeometry, delta_k_y: float,
     return replace(geom, K=K, delta_phi=K * crystal_length_l / 2.0)
 
 
-def spectral_integral_S(xi: float, rel_tol: float = 1e-7) -> float:
+def spectral_integral_S(xi):
     """Spectral integral S(Xi) = int |Phi_z/l|^2 d(delta_phi) over the
-    whole real line, computed by quadrature of the overlap itself.
+    whole real line.
 
-    S(0) = pi (thin-crystal anchor) and S decreases monotonically with
-    Xi.  The truncation half-width is seeded at a multiple of pi so the
-    sin^2-type tail oscillation cancels out of the tail fit.
+    Phi_z/l is half the Fourier transform of the even weight
+    exp(-Xi^2 u^2) on [-1, 1], so by Plancherel's identity
+
+        S(Xi) = pi int_0^1 exp(-2 Xi^2 u^2) du
+              = pi^{3/2} erf(sqrt2 Xi) / (2 sqrt2 Xi),
+
+    with S = pi (the thin-crystal anchor) for Xi < 1e-8.  S decreases
+    monotonically with Xi.  ``xi`` may be a scalar or an ndarray.
     """
-    if xi < 0:
-        raise ValidationError("Xi must be >= 0")
-
-    def integrand(dphi):
-        vals = phi_z(xi, np.atleast_1d(dphi), rel_tol=1e-9, abs_tol=3e-10)
-        return vals * vals
-
-    res = numerics.integrate_symmetric_infinite(
-        integrand,
-        rel_tol=rel_tol,
-        half_width_hint=64.0 * math.pi,
-        abs_tol=2e-7,
-        phase_rate=2.0,  # |Phi_z|^2 oscillates with period pi in delta_phi
-    )
-    return float(res.value)
+    arr = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr >= 0)):
+        raise ValidationError("Xi must be finite and >= 0")
+    r2 = math.sqrt(2.0)
+    vals = [math.pi if x < 1e-8 else math.pi ** 1.5 * math.erf(r2 * x) / (2.0 * r2 * x)
+            for x in arr.ravel().tolist()]
+    if arr.ndim == 0:
+        return vals[0]
+    return np.array(vals).reshape(arr.shape)

@@ -84,8 +84,8 @@ class SourceConfig:
     reference_values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.pump_power_p > 0:
-            raise ValidationError("pump_power must be > 0")
+        if not 0 < self.pump_power_p < math.inf:
+            raise ValidationError("pump_power must be finite and > 0")
         lam_d = 2.0 * self.pump.lambda_vac
         for m in (self.signal, self.idler):
             if abs(m.lambda_vac - lam_d) > 1e-9 * lam_d:
@@ -194,6 +194,19 @@ def _default_sample_grid(config: SourceConfig, span_dphi: float = 100.0,
     return np.linspace(lo, hi, points)
 
 
+def _pair_rate(config: SourceConfig, S: float, angular: float, dn: float) -> float:
+    """The closed-form R_T of :func:`total_rate` for spectral integral
+    ``S``, angular factor ``1 + cos^2 th_i + cos^2 th_s`` and
+    ``dn = |n_i cos th_i - n_s cos th_s|``."""
+    omega_p = config.pump.omega
+    d = config.d_eff
+    wp = config.pump.waist_w
+    n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
+    return (4.0 * d * d * config.pump_power_p * config.crystal.length_l * omega_p ** 2 * S
+            / (3.0 * math.pi * n_p * n_s * n_i * EPSILON_0 * C_LIGHT ** 2
+               * (math.pi * wp * wp) * angular * dn))
+
+
 def total_rate(config: SourceConfig, spectral_points: int = 2001) -> RateReport:
     """Total pair rate for the matched non-collinear geometry,
 
@@ -235,17 +248,8 @@ def total_rate(config: SourceConfig, spectral_points: int = 2001) -> RateReport:
             "(n_i cos th_i - n_s cos th_s) is negative; the rate uses its "
             "magnitude (sign only reflects the signal/idler labels)"
         )
-    dn = abs(disp) * C_LIGHT
-
-    omega_p = config.pump.omega
-    d = config.d_eff
-    P = config.pump_power_p
-    l = config.crystal.length_l
-    n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
     angular = 1.0 + math.cos(thi) ** 2 + math.cos(ths) ** 2
-    r_t = (4.0 * d * d * P * l * omega_p ** 2 * S
-           / (3.0 * math.pi * n_p * n_s * n_i * EPSILON_0 * C_LIGHT ** 2
-              * (math.pi * wp * wp) * angular * dn))
+    r_t = _pair_rate(config, S, angular, abs(disp) * C_LIGHT)
 
     r_thin = None
     if ths == 0.0 and thi == 0.0:
@@ -255,8 +259,9 @@ def total_rate(config: SourceConfig, spectral_points: int = 2001) -> RateReport:
     density = _spectral_density_grid(config, grid)
     samples = list(zip(grid.tolist(), density.tolist()))
 
-    length_mm = l * 1e3
-    eff_mm = r_t * HBAR * omega_p / (P * length_mm)
+    omega_p = config.pump.omega
+    length_mm = config.crystal.length_l * 1e3
+    eff_mm = r_t * HBAR * omega_p / (config.pump_power_p * length_mm)
     eff_mm_sr = None
     if config.collection_solid_angle_sr:
         eff_mm_sr = eff_mm / config.collection_solid_angle_sr
@@ -276,10 +281,11 @@ def thin_crystal_rates(config: SourceConfig):
 
     and ``rate`` the total
 
-        R_T = 4 d^2 P l w_p^2 / (9 n_s n_i n_p eps0 (pi Wp^2) |n_i - n_s| c^2).
+        R_T = 4 d^2 P l w_p^2 / (9 n_s n_i n_p eps0 (pi Wp^2) |n_i - n_s| c^2),
 
-    Requires collinear type-II operation (theta = 0, n_i != n_s) and
-    equal waists.
+    the general closed form at theta = 0, where S = pi and the angular
+    factor is 3.  Requires collinear type-II operation (theta = 0,
+    n_i != n_s) and equal waists.
     """
     wp, ws, wi = config.pump.waist_w, config.signal.waist_w, config.idler.waist_w
     if not (math.isclose(wp, ws, rel_tol=1e-12) and math.isclose(wp, wi, rel_tol=1e-12)):
@@ -288,17 +294,13 @@ def thin_crystal_rates(config: SourceConfig):
         raise ValidationError("thin_crystal_rates requires collinear geometry (theta = 0)")
     n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
     disp = dispersion_factor(n_s, n_i, 0.0, 0.0)  # DegenerateDispersion if n_i ~ n_s
-    dn = abs(disp) * C_LIGHT
+    rate = _pair_rate(config, math.pi, 3.0, abs(disp) * C_LIGHT)
 
     omega_p = config.pump.omega
     d = config.d_eff
     P = config.pump_power_p
     l = config.crystal.length_l
     area = math.pi * wp * wp
-
-    rate = (4.0 * d * d * P * l * omega_p ** 2
-            / (9.0 * n_s * n_i * n_p * EPSILON_0 * area * dn * C_LIGHT ** 2))
-
     pref = (2.0 * d * d * omega_p ** 2 * P * l * l
             / (9.0 * math.pi * n_p * n_s * n_i * EPSILON_0 * C_LIGHT ** 3 * area))
 
@@ -332,30 +334,17 @@ def _gamma_curve(gamma):
 
 
 def optimal_gamma() -> float:
-    """Pump-to-collection waist ratio maximizing the pair rate, found by
-    golden-section search on [0.05, 5] to 1e-9 (equals 1/sqrt(2))."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.05, 5.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = _gamma_curve(c), _gamma_curve(d)
-    while b - a > 1e-9:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _gamma_curve(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _gamma_curve(d)
-    return 0.5 * (a + b)
+    """Pump-to-collection waist ratio maximizing the pair rate, 1/sqrt(2):
+    d/dgamma (1/gamma + 2 gamma)^-2 = 2 (1/gamma^2 - 2) (1/gamma + 2 gamma)^-3
+    vanishes only at gamma^2 = 1/2."""
+    return 1.0 / math.sqrt(2.0)
 
 
 def gamma_sweep(gamma_min: float, gamma_max: float, points: int):
     """Uniform sweep of the relative rate versus gamma = Wp/W, normalized
     to a maximum of 1.  Returns a list of (gamma, relative_rate)."""
-    if not (0 < gamma_min < gamma_max):
-        raise ValidationError("require 0 < gamma_min < gamma_max")
+    if not (0 < gamma_min < gamma_max < math.inf):
+        raise ValidationError("require 0 < gamma_min < gamma_max, both finite")
     if points < 2:
         raise ValidationError("points must be >= 2")
     g = np.linspace(gamma_min, gamma_max, points)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +230,62 @@ def test_cli_numerical_exit_code(tmp_path, capsys):
                  "--set", "collection.external_angle_deg=0"])
     assert code == 3
     assert capsys.readouterr().err.startswith("error NUMERICAL:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--config", sg.builtin_config_path(), "--set", "crystal.length_mm=Infinity"],
+    ["rate", "--config", sg.builtin_config_path(), "--set", "pump.power_mw=NaN"],
+    ["rate", "--config", sg.builtin_config_path(), "--set", "pump.waist_um=1e400"],
+    ["spectrum", "--xi", "nan"],
+    ["spectrum", "--xi", "1,abc"],
+    ["spectrum", "--dphi-max", "inf"],
+    ["spectrum", "--dphi-min=-2e5"],
+    ["sweep-xi", "--xi-max", "inf"],
+    ["sweep-gamma", "--gamma-min", "nan"],
+    ["sweep-gamma", "--gamma-max", "inf"],
+])
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error VALIDATION:")
+
+
+# a child interpreter that imports the package under test
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)),
+                 OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+
+
+def test_cli_module_run_is_silent(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "spdcgauss.cli", "sweep-gamma",
+                           "--out", str(tmp_path)],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("args, name", [
+    (["sweep-xi", "--xi-max", "1e6", "--points", "3"], "sweep_xi.csv"),
+    (["spectrum", "--xi", "1", "--dphi-min=-1e4", "--dphi-max", "1e4"],
+     "spectrum_overlap.csv"),
+])
+def test_cli_extreme_inputs_bounded(tmp_path, args, name):
+    # the child runs the CLI module and prints its own peak RSS (kB) last
+    code = ("import resource, runpy, sys\n"
+            "sys.argv[0] = 'spdc-gauss'\n"
+            "try:\n"
+            "    runpy.run_module('spdcgauss.cli', run_name='__main__')\n"
+            "finally:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(tmp_path)],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    peak_mb = int(proc.stdout.strip().splitlines()[-1]) / 1024.0
+    assert peak_mb < 200.0
+    _, rows = read_csv(os.path.join(tmp_path, name))
+    values = np.array([[float(v) for v in r] for r in rows])
+    assert np.all(np.isfinite(values))
 
 
 def test_cli_missing_config_exit_code(capsys):

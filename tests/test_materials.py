@@ -165,6 +165,12 @@ def test_crystal_spec_validation(bbo):
     with pytest.raises(ValidationError):
         CrystalSpec(bbo.name, bbo.ordinary, bbo.extraordinary,
                     bbo.d22_m_per_v, 1e-3, 3.0, 0.3)
+    with pytest.raises(ValidationError, match="finite"):
+        CrystalSpec(bbo.name, bbo.ordinary, bbo.extraordinary,
+                    bbo.d22_m_per_v, math.inf, 0.3, 0.3)
+    with pytest.raises(ValidationError, match="finite"):
+        CrystalSpec(bbo.name, bbo.ordinary, bbo.extraordinary,
+                    math.nan, 1e-3, 0.3, 0.3)
 
 
 def test_malformed_db(tmp_path):

@@ -5,6 +5,11 @@ import pytest
 import scipy.special
 
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
+from quadrature_oracle import (
+    integrate_finite,
+    phi_z_adaptive,
+    spectral_integral_S_nested,
+)
 from spdcgauss.errors import ValidationError
 from spdcgauss.modes import (
     GaussianMode,
@@ -122,6 +127,10 @@ def test_mode_invariants():
         GaussianMode(-1e-6, 702e-9, 0.0, 1.6, Role.SIGNAL)
     with pytest.raises(ValidationError):
         GaussianMode(82e-6, 702e-9, 0.1, 1.6, Role.PUMP)  # pump must be axial
+    with pytest.raises(ValidationError, match="signal.waist"):
+        GaussianMode(math.inf, 702e-9, 0.0, 1.6, Role.SIGNAL)
+    with pytest.raises(ValidationError, match="idler.theta"):
+        GaussianMode(82e-6, 702e-9, math.nan, 1.6, Role.IDLER)
 
 
 def test_overlap_geometry_invariants():
@@ -227,3 +236,48 @@ def test_spectral_integral_monotone_decreasing():
     xis = np.linspace(0.0, 5.0, 50)
     vals = [spectral_integral_S(float(x)) for x in xis]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_spectral_integral_vectorised():
+    xis = np.array([0.0, 5e-9, 0.933, 2.0, 5.0])
+    vals = spectral_integral_S(xis)
+    assert vals.shape == xis.shape
+    assert vals.tolist() == [spectral_integral_S(float(x)) for x in xis]
+    assert vals[1] == math.pi
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -1.0])
+def test_spectral_integral_rejects_bad_xi(xi):
+    with pytest.raises(ValidationError):
+        spectral_integral_S(xi)
+    with pytest.raises(ValidationError):
+        spectral_integral_S(np.array([0.5, xi]))
+
+
+@pytest.mark.parametrize("xi, dphi", [(math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0),
+                                      (1.0, math.nan), (1.0, np.array([0.0, math.inf])),
+                                      (1.0, 2e5)])
+def test_phi_z_rejects_bad_inputs(xi, dphi):
+    with pytest.raises(ValidationError):
+        phi_z(xi, dphi)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.933, 2.0, 5.0])
+def test_spectral_integral_matches_nested_quadrature(xi):
+    """The closed form against the adaptive quadrature of |Phi_z/l|^2
+    over the real line with tail extrapolation (an independent route)."""
+    nested = spectral_integral_S_nested(xi)
+    assert spectral_integral_S(xi) == pytest.approx(nested, abs=1e-6)
+
+
+@pytest.mark.parametrize("xi, span", [(0.0, 300.0), (0.5, 300.0), (6.4, 300.0),
+                                      (50.0, 300.0), (0.5, 1000.0)])
+def test_phi_z_matches_adaptive_quadrature(xi, span):
+    grid = np.linspace(-span, span, 601)
+    ref = phi_z_adaptive(xi, grid, rel_tol=1e-12, abs_tol=1e-14)
+    assert np.max(np.abs(phi_z(xi, grid) - ref)) < 1e-12
+    # one value through the bare engine, outside phi_z_adaptive's chunking
+    single = integrate_finite(lambda u: np.exp(-xi * xi * u * u) * np.cos(123.4 * u),
+                              0.0, 1.0, rel_tol=1e-12, abs_tol=1e-14,
+                              initial_intervals=40)
+    assert phi_z(xi, 123.4) == pytest.approx(single.value, abs=1e-12)

@@ -82,6 +82,12 @@ def test_unequal_waists_rejected():
         thin_crystal_rates(bad)
 
 
+@pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
+def test_source_config_rejects_bad_power(power):
+    with pytest.raises(ValidationError, match="pump_power"):
+        dataclasses.replace(make_config(), pump_power_p=power)
+
+
 def test_spectral_samples_integrate_to_total():
     report = total_rate(make_config())
     omega, dens = np.array(report.spectral_samples).T
