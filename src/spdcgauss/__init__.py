@@ -3,7 +3,7 @@ parametric down-conversion from a bulk uniaxial crystal into single
 transverse Gaussian modes, for collinear and non-collinear geometries.
 """
 
-from . import config, constants, materials, modes, numerics, rates
+from . import config, constants, materials, modes, rates
 from .config import builtin_config_path, load_config
 from .errors import (
     ComputationError,

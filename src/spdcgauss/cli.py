@@ -6,7 +6,8 @@ regenerating the model's characteristic figures and the worked BBO
 comparison.  Output is deterministic: identical inputs and flags produce
 byte-identical files.
 
-Exit codes: 0 success, 2 configuration/validation, 3 numerical, 4 I/O.
+A refused input prints one stderr line, ``error LABEL: message``, and
+exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
 """
 
 from __future__ import annotations
@@ -16,56 +17,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config as cfgmod
 from . import modes, rates
-from .errors import (
-    ComputationError,
-    ConfigurationError,
-    OverwriteRefused,
-    ParseError,
-    UnknownMaterial,
-    ValidationError,
-)
+from .errors import OverwriteRefused, SpdcGaussError, ValidationError
 
-__all__ = ["RunManifest", "main"]
+__all__ = ["main"]
 
 FIG_OVERLAP_XIS = (0.0, 0.5, 1.0, 2.0, 4.0)
 FIG_OVERLAP_RANGE = (-15.0, 15.0, 2001)
 FIG_XI_RANGE = (0.0, 5.0, 251)
 FIG_GAMMA_RANGE = (0.1, 3.0, 581)
 
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str | None
-    output_dir: str
-    overrides: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    parameters: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {
-            "command": self.command,
-            "config_path": self.config_path,
-            "output_dir": self.output_dir,
-            "overrides": list(self.overrides),
-            "outputs": list(self.outputs),
-            "parameters": self.parameters,
-        }
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain text otherwise."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
+ANGLE_CONVENTIONS = {"internal": "internal_physics", "paper": "paper_external_as_internal"}
 
 
 def _checked_path(out_dir: str, name: str, force: bool) -> str:
@@ -80,7 +46,7 @@ def _write_csv(out_dir, name, header, rows, force) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
     return name
 
 
@@ -92,27 +58,33 @@ def _write_json(out_dir, name, payload, force) -> str:
     return name
 
 
-def _finish(manifest: RunManifest, out_dir: str, force: bool):
-    _write_json(out_dir, "run_manifest.json", manifest.as_dict(), force)
-    for name in manifest.outputs:
-        print(f"wrote {os.path.join(out_dir, name)}")
-    print(f"wrote {os.path.join(out_dir, 'run_manifest.json')}")
+def _overrides(args) -> list:
+    """The config overrides in the order applied: every ``--set``, then
+    ``--angle-convention`` as the field it sets."""
+    items = list(getattr(args, "set", None) or [])
+    if getattr(args, "angle_convention", None):
+        items.append(f"angle_convention={ANGLE_CONVENTIONS[args.angle_convention]}")
+    return items
+
+
+def _finish(args, outputs: list, parameters: dict):
+    manifest = {"command": args.command, "config_path": getattr(args, "config", None),
+                "output_dir": args.out, "overrides": _overrides(args),
+                "outputs": outputs, "parameters": parameters}
+    outputs = outputs + [_write_json(args.out, "run_manifest.json", manifest, args.force)]
+    for name in outputs:
+        print(f"wrote {os.path.join(args.out, name)}")
 
 
 def _load(args) -> rates.SourceConfig:
     if not args.config:
         raise ValidationError(f"command {args.command!r} requires --config PATH")
-    overrides = list(args.set or [])
-    if args.angle_convention:
-        conv = {"internal": "internal_physics",
-                "paper": "paper_external_as_internal"}[args.angle_convention]
-        overrides.append(f"angle_convention={conv}")
-    return cfgmod.load_config(args.config, args.material_db, overrides)
+    return cfgmod.load_config(args.config, args.material_db, _overrides(args))
 
 
 def _require_finite(args, *names):
-    """Refuse NaN and infinite float flags before they reach np.linspace,
-    which would warn on stderr."""
+    """Refuse NaN and infinite float flags as invalid input before
+    np.linspace fails on them as a numerical error."""
     for name in names:
         if not math.isfinite(getattr(args, name)):
             raise ValidationError(f"--{name.replace('_', '-')} must be a finite number")
@@ -145,10 +117,9 @@ def _gamma_rows(lo, hi, points):
     return [(g, r, 1 if i == best else 0) for i, (g, r) in enumerate(sweep)]
 
 
-def cmd_rate(args) -> RunManifest:
+def cmd_rate(args):
     cfg = _load(args)
     report = rates.total_rate(cfg)
-    outputs = []
     scalar_rows = [
         ("Xi", report.Xi),
         ("S", report.S),
@@ -159,19 +130,19 @@ def cmd_rate(args) -> RunManifest:
          "" if report.efficiency_per_mm_sr is None else report.efficiency_per_mm_sr),
         ("pump_power_W", cfg.pump_power_p),
     ]
-    outputs.append(_write_csv(args.out, "rate_report.csv", ["quantity", "value"],
-                              scalar_rows, args.force))
-    outputs.append(_write_csv(args.out, "rate_spectrum.csv",
-                              ["omega_s_rad_per_s", "spectral_density_pairs_per_rad"],
-                              report.spectral_samples, args.force))
+    outputs = [_write_csv(args.out, "rate_report.csv", ["quantity", "value"],
+                          scalar_rows, args.force),
+               _write_csv(args.out, "rate_spectrum.csv",
+                          ["omega_s_rad_per_s", "spectral_density_pairs_per_rad"],
+                          report.spectral_samples, args.force)]
     for w in report.warnings:
         print(f"warning: {w}")
     print(f"Xi = {report.Xi:.6f}   S = {report.S:.6f}   "
           f"R_T = {report.R_T:.6g} pairs/s at P = {cfg.pump_power_p * 1e3:.6g} mW")
-    return RunManifest("rate", args.config, args.out, list(args.set or []), outputs)
+    return outputs, {}
 
 
-def cmd_spectrum(args) -> RunManifest:
+def cmd_spectrum(args):
     xis = _xi_list(args.xi) if args.xi else FIG_OVERLAP_XIS
     _require_finite(args, "dphi_min", "dphi_max")
     lo, hi, points = args.dphi_min, args.dphi_max, args.points
@@ -179,6 +150,8 @@ def cmd_spectrum(args) -> RunManifest:
         raise ValidationError("require --dphi-min < --dphi-max")
     if points < 2:
         raise ValidationError("--points must be >= 2")
+    if not args.config and (args.set or args.material_db or args.angle_convention):
+        raise ValidationError("--set, --material-db and --angle-convention need --config")
     outputs = [_write_csv(args.out, "spectrum_overlap.csv",
                           ["xi", "delta_phi", "phi_z_over_l"],
                           _overlap_rows(xis, lo, hi, points), args.force)]
@@ -186,26 +159,18 @@ def cmd_spectrum(args) -> RunManifest:
     if args.config:
         cfg = _load(args)
         report = rates.total_rate(cfg)
-        geom = modes.geometry_coefficients(cfg.pump, cfg.signal, cfg.idler,
-                                           cfg.crystal.length_l)
-        l = cfg.crystal.length_l
-        rows = []
-        for omega_s, dens in report.spectral_samples:
-            omega_i = cfg.pump.omega - omega_s
-            dkz = rates.delta_k_z(cfg.signal.n, cfg.idler.n, cfg.pump.n,
-                                  omega_s, omega_i, cfg.pump.omega,
-                                  cfg.signal.theta, cfg.idler.theta)
-            rows.append((omega_s, dkz * l / 2.0, dens))
+        omega_s = np.array([w for w, _ in report.spectral_samples])
+        dphi = rates.delta_phi_grid(cfg, omega_s).tolist()
+        rows = [(w, p, dens) for (w, dens), p in zip(report.spectral_samples, dphi)]
         outputs.append(_write_csv(args.out, "spectrum_density.csv",
                                   ["omega_s_rad_per_s", "delta_phi",
                                    "spectral_density_pairs_per_rad"],
                                   rows, args.force))
-        params["config_xi"] = geom.Xi
-    return RunManifest("spectrum", args.config, args.out, list(args.set or []),
-                       outputs, params)
+        params["config_xi"] = report.Xi
+    return outputs, params
 
 
-def cmd_sweep_xi(args) -> RunManifest:
+def cmd_sweep_xi(args):
     _require_finite(args, "xi_min", "xi_max")
     if not (0 <= args.xi_min < args.xi_max):
         raise ValidationError("require 0 <= --xi-min < --xi-max")
@@ -213,21 +178,18 @@ def cmd_sweep_xi(args) -> RunManifest:
         raise ValidationError("--points must be >= 2")
     outputs = [_write_csv(args.out, "sweep_xi.csv", ["xi", "S"],
                           _xi_rows(args.xi_min, args.xi_max, args.points), args.force)]
-    return RunManifest("sweep-xi", None, args.out, list(args.set or []), outputs,
-                       {"xi": [args.xi_min, args.xi_max], "points": args.points})
+    return outputs, {"xi": [args.xi_min, args.xi_max], "points": args.points}
 
 
-def cmd_sweep_gamma(args) -> RunManifest:
+def cmd_sweep_gamma(args):
     outputs = [_write_csv(args.out, "sweep_gamma.csv",
                           ["gamma", "relative_rate", "is_max"],
                           _gamma_rows(args.gamma_min, args.gamma_max, args.points),
                           args.force)]
-    return RunManifest("sweep-gamma", None, args.out, list(args.set or []), outputs,
-                       {"gamma": [args.gamma_min, args.gamma_max],
-                        "points": args.points})
+    return outputs, {"gamma": [args.gamma_min, args.gamma_max], "points": args.points}
 
 
-def cmd_figures(args) -> RunManifest:
+def cmd_figures(args):
     """Regenerate the three standard figure datasets in one invocation."""
     outputs = []
     lo, hi, pts = FIG_OVERLAP_RANGE
@@ -248,10 +210,10 @@ def cmd_figures(args) -> RunManifest:
         "waist_ratio": {"gamma": [glo, ghi], "points": gpts},
     }
     outputs.append(_write_json(args.out, "figures_manifest.json", params, args.force))
-    return RunManifest("figures", None, args.out, list(args.set or []), outputs, params)
+    return outputs, params
 
 
-def cmd_compare_experiment(args) -> RunManifest:
+def cmd_compare_experiment(args):
     cfg = _load(args)
     rows, report = rates.experiment_comparison(cfg)
     csv_rows = [
@@ -270,88 +232,77 @@ def cmd_compare_experiment(args) -> RunManifest:
         print(f"{r.quantity:<42}{r.model:>14.5g}{ref:>14}{dev:>11}")
     for w in report.warnings:
         print(f"warning: {w}")
-    return RunManifest("compare-experiment", args.config, args.out,
-                       list(args.set or []), outputs)
+    return outputs, {}
 
 
-_COMMANDS = {
-    "rate": cmd_rate,
-    "spectrum": cmd_spectrum,
-    "sweep-xi": cmd_sweep_xi,
-    "sweep-gamma": cmd_sweep_gamma,
-    "figures": cmd_figures,
-    "compare-experiment": cmd_compare_experiment,
-}
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ValidationError, so that it
+    ends in the same one-line ``error VALIDATION:`` report as any other
+    refused input (sub-parsers are built from this class too)."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spdc-gauss",
-        description="Photon-pair rates for SPDC into single Gaussian modes",
-    )
+    parser = _Parser(prog="spdc-gauss",
+                     description="Photon-pair rates for SPDC into single Gaussian modes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="source configuration JSON")
+    def command(name, run, summary, source=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config field (dotted path)")
-        p.add_argument("--material-db", help="alternative material database JSON")
-        p.add_argument("--angle-convention", choices=["internal", "paper"],
-                       help="shortcut for the angle_convention config field")
+        if source:
+            p.add_argument("--config", help="source configuration JSON")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override a config field (dotted path)")
+            p.add_argument("--material-db", help="alternative material database JSON")
+            p.add_argument("--angle-convention", choices=sorted(ANGLE_CONVENTIONS),
+                           help="shortcut for the angle_convention config field")
+        return p
 
-    common(sub.add_parser("rate", help="total rate report for a config"))
-    p = sub.add_parser("spectrum", help="longitudinal overlap curves (and "
-                                        "spectral density when --config given)")
-    common(p)
+    command("rate", cmd_rate, "total rate report for a config", source=True)
+    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves (and spectral "
+                "density when --config given)", source=True)
     p.add_argument("--xi", help="comma-separated walk-off values "
                                "(default 0,0.5,1,2,4)")
     p.add_argument("--dphi-min", type=float, default=FIG_OVERLAP_RANGE[0])
     p.add_argument("--dphi-max", type=float, default=FIG_OVERLAP_RANGE[1])
     p.add_argument("--points", type=int, default=FIG_OVERLAP_RANGE[2])
-    p = sub.add_parser("sweep-xi", help="spectral integral S versus walk-off")
-    common(p)
+    p = command("sweep-xi", cmd_sweep_xi, "spectral integral S versus walk-off")
     p.add_argument("--xi-min", type=float, default=FIG_XI_RANGE[0])
     p.add_argument("--xi-max", type=float, default=FIG_XI_RANGE[1])
     p.add_argument("--points", type=int, default=FIG_XI_RANGE[2])
-    p = sub.add_parser("sweep-gamma", help="relative rate versus waist ratio")
-    common(p)
+    p = command("sweep-gamma", cmd_sweep_gamma, "relative rate versus waist ratio")
     p.add_argument("--gamma-min", type=float, default=FIG_GAMMA_RANGE[0])
     p.add_argument("--gamma-max", type=float, default=FIG_GAMMA_RANGE[1])
     p.add_argument("--points", type=int, default=FIG_GAMMA_RANGE[2])
-    common(sub.add_parser("figures", help="regenerate all figure datasets"))
-    common(sub.add_parser("compare-experiment",
-                          help="model vs reference values for a config"))
+    command("figures", cmd_figures, "regenerate all figure datasets")
+    command("compare-experiment", cmd_compare_experiment,
+            "model vs reference values for a config", source=True)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         os.makedirs(args.out, exist_ok=True)
-        manifest = _COMMANDS[args.command](args)
-        _finish(manifest, args.out, args.force)
-    except ParseError as exc:
-        print(f"error PARSE: {exc}", file=sys.stderr)
-        return 2
-    except UnknownMaterial as exc:
-        print(f"error UNKNOWN_MATERIAL: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, ConfigurationError) as exc:
-        print(f"error VALIDATION: {exc}", file=sys.stderr)
-        return 2
-    except ComputationError as exc:
-        print(f"error NUMERICAL: {exc}", file=sys.stderr)
-        return 3
-    except OverwriteRefused as exc:
-        print(f"error IO: {exc}", file=sys.stderr)
-        return 4
+        # an overflow or invalid operation raises instead of warning on stderr
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _finish(args, *args.run(args))
+        return 0
+    except SpdcGaussError as exc:
+        label, code, message = exc.label, exc.exit_code, str(exc)
+    except ArithmeticError as exc:  # inputs whose results leave the float range
+        label, code, message = "NUMERICAL", 3, str(exc)
     except OSError as exc:
-        print(f"error IO: {exc}", file=sys.stderr)
-        return 4
-    return 0
+        label, code, message = "IO", 4, str(exc)
+    # one stderr line, even where the message quotes input holding a newline
+    print(f"error {label}: " + " ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

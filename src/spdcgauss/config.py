@@ -53,6 +53,20 @@ def _get(d: dict, path: str, typ, required=True, default=None):
     raise ParseError(f"field {path!r}: expected {typ.__name__}, got {type(leaf).__name__}")
 
 
+def _get_enum(d: dict, path: str, cls, default=None):
+    """Enum member named by the string at ``path``; a missing field takes
+    ``default``, and is an error when there is none."""
+    value = _get(d, path, str, required=False)
+    if value is None and default is not None:
+        return default
+    try:
+        return cls(value)
+    except ValueError:  # also for a missing field without a default
+        what = f"missing required field {path!r}" if value is None else f"{path} {value!r}"
+        allowed = ", ".join(repr(c.value) for c in cls)
+        raise ValidationError(f"{what}: allowed values are {allowed}") from None
+
+
 def apply_overrides(raw: dict, overrides) -> dict:
     """Apply ``KEY=VALUE`` overrides (dotted key paths) onto the raw
     config dict.  Values are parsed as JSON scalars, falling back to
@@ -101,31 +115,9 @@ def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
         phi_c=math.radians(_get(raw, "crystal.phi_c_deg", float)),
     )
 
-    conv_raw = _get(raw, "angle_convention", str, required=False)
-    if conv_raw is None:
-        conv = AngleConvention.INTERNAL_PHYSICS
-    else:
-        try:
-            conv = AngleConvention(conv_raw)
-        except ValueError:
-            raise ValidationError(
-                f"angle_convention {conv_raw!r}: allowed values are "
-                + ", ".join(repr(c.value) for c in AngleConvention)
-            ) from None
-
-    pol_raw = _get(raw, "polarization_assignment", str, required=False)
-    if pol_raw is None:
-        raise ValidationError(
-            "missing required field 'polarization_assignment': allowed values are "
-            + ", ".join(repr(p.value) for p in PolarizationAssignment)
-        )
-    try:
-        pol = PolarizationAssignment(pol_raw)
-    except ValueError:
-        raise ValidationError(
-            f"polarization_assignment {pol_raw!r}: allowed values are "
-            + ", ".join(repr(p.value) for p in PolarizationAssignment)
-        ) from None
+    conv = _get_enum(raw, "angle_convention", AngleConvention,
+                     default=AngleConvention.INTERNAL_PHYSICS)
+    pol = _get_enum(raw, "polarization_assignment", PolarizationAssignment)
 
     # pump is extraordinary-polarized at the cut angle; the extraordinary
     # daughter's small tilt off the cut angle is neglected in its index
@@ -152,6 +144,8 @@ def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
     if decay_paths < 1:
         raise ValidationError("collection.decay_paths must be >= 1")
 
+    reference = {key: _get(raw, f"reference.{key}", float)
+                 for key in _get(raw, "reference", dict, required=False, default={})}
     return SourceConfig(
         pump_power_p=power,
         pump=pump,
@@ -166,7 +160,7 @@ def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
         pair_to_singles_ratio=_get(raw, "collection.pair_to_singles_ratio", float,
                                    required=False),
         decay_path_multiplicity=decay_paths,
-        reference_values=_get(raw, "reference", dict, required=False, default={}),
+        reference_values=reference,
     )
 
 

@@ -1,19 +1,28 @@
 """Exception types used across the library.
 
-Three families, mirrored by the CLI exit codes:
-  * ``ConfigurationError`` (bad input files / invalid parameters) -> exit 2
-  * ``ComputationError`` (numerical or physical failure)          -> exit 3
-  * I/O problems are plain ``OSError`` / ``OverwriteRefused``     -> exit 4
+Each family carries the label and exit code of its one-line CLI report,
+``error LABEL: message`` on stderr:
+
+  * ``ConfigurationError`` (bad input files / invalid parameters)
+    -> ``VALIDATION``, exit 2; ``ParseError`` reports ``PARSE`` and
+    ``UnknownMaterial`` ``UNKNOWN_MATERIAL``, both exit 2
+  * ``ComputationError`` (numerical or physical failure) -> ``NUMERICAL``, exit 3
+  * ``OverwriteRefused`` -> ``IO``, exit 4; the CLI reports a plain
+    ``OSError`` the same way
 """
 
 
 class SpdcGaussError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; each family below sets the
+    ``label`` and ``exit_code`` of its CLI report."""
 
 
 class ComputationError(SpdcGaussError):
     """A computation could not be carried out with the requested accuracy
     or the inputs are outside the validity of the model."""
+
+    label = "NUMERICAL"
+    exit_code = 3
 
 
 class OutOfRange(ComputationError):
@@ -41,9 +50,14 @@ class UnequalWaists(ComputationError):
 class ConfigurationError(SpdcGaussError):
     """Base class for configuration-file problems."""
 
+    label = "VALIDATION"
+    exit_code = 2
+
 
 class ParseError(ConfigurationError):
     """Config file is not valid JSON or has a malformed field."""
+
+    label = "PARSE"
 
 
 class ValidationError(ConfigurationError):
@@ -53,6 +67,11 @@ class ValidationError(ConfigurationError):
 class UnknownMaterial(ConfigurationError):
     """Crystal name not present in the material database."""
 
+    label = "UNKNOWN_MATERIAL"
+
 
 class OverwriteRefused(SpdcGaussError):
     """Output file exists and --force was not given."""
+
+    label = "IO"
+    exit_code = 4

@@ -25,12 +25,12 @@ through Plancherel's identity.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .errors import NegativeH, ValidationError
 
 __all__ = [
@@ -58,6 +58,8 @@ H_CLAMP = 1e-18
 DELTA_PHI_MAX = 1e5
 # phi_z truncates its range where exp(-Xi^2 u^2) < 1e-27, at u = 8/Xi
 _GAUSS_CUTOFF = 8.0
+# nodes of the Gauss-Legendre rule phi_z tiles over each panel
+_GL_ORDER = 32
 # rows of one cos(delta_phi u) block hold at most this many doubles
 _BLOCK = 1 << 20
 
@@ -107,12 +109,8 @@ class GaussianMode:
 @dataclass(frozen=True)
 class OverlapGeometry:
     """Quadratic-form coefficients of the three-mode overlap (1/m^2 for
-    A, C, D, F, H; K in 1/m), plus the derived dimensionless walk-off
-    parameter Xi = sqrt(H) l/2 and phase mismatch delta_phi = K l/2.
-
-    K and delta_phi stay None until a wave-vector mismatch is supplied
-    (see :func:`longitudinal_k` / :func:`overlap_phi`).
-    """
+    A, C, D, F, H), plus the derived dimensionless walk-off parameter
+    Xi = sqrt(H) l/2."""
 
     A: float
     C: float
@@ -120,8 +118,6 @@ class OverlapGeometry:
     F: float
     H: float
     Xi: float
-    K: float | None = None
-    delta_phi: float | None = None
 
     def __post_init__(self):
         if not (self.A >= self.C > 0):
@@ -191,17 +187,30 @@ def geometry_coefficients(
     return OverlapGeometry(A=A, C=C, D=D, F=F, H=H, Xi=Xi)
 
 
+@functools.cache
+def _legendre_rule():
+    # imported on first use so that importing the package does not load
+    # numpy.polynomial; the cached arrays are shared, hence read-only
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(_GL_ORDER)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def phi_z(xi: float, delta_phi):
     """Dimensionless longitudinal overlap
 
         Phi_z / l = int_0^1 exp(-Xi^2 u^2) cos(delta_phi u) du
 
-    on the composite Gauss-Legendre rule of :mod:`numerics`.  For
+    on a 32-point Gauss-Legendre rule tiled over equal panels.  For
     Xi > 8 the range is cut at u = U = 8/Xi, where the weight has fallen
     below 1e-27 (otherwise U = 1); the ``1 + ceil(max(|delta_phi|, 2 Xi)
-    U / GL_ORDER)`` equal panels on [0, U] keep each panel within
-    GL_ORDER radians of phase and of Gaussian decay.  ``delta_phi`` may be
-    a scalar or an ndarray, with ``|delta_phi| <= DELTA_PHI_MAX``.
+    U / 32)`` panels on [0, U] keep each panel within 32 radians of phase
+    and of Gaussian decay, where the rule's error falls off faster than
+    exponentially.  ``delta_phi`` may be a scalar or an ndarray, with
+    ``|delta_phi| <= DELTA_PHI_MAX``.
     Equals sinc(delta_phi) at Xi = 0 and (sqrt(pi)/(2 Xi)) erf(Xi) at
     delta_phi = 0.
     """
@@ -215,9 +224,11 @@ def phi_z(xi: float, delta_phi):
         raise ValidationError(
             f"delta_phi must be finite with |delta_phi| <= {DELTA_PHI_MAX:g}")
     upper = min(1.0, _GAUSS_CUTOFF / xi) if xi > 0 else 1.0
-    panels = 1 + math.ceil(max(amax, 2.0 * xi) * upper / numerics.GL_ORDER)
-    u, w = numerics.gauss_legendre(0.0, upper, panels)
-    weights = w * np.exp(-np.square(xi * u))
+    panels = 1 + math.ceil(max(amax, 2.0 * xi) * upper / _GL_ORDER)
+    x, w = _legendre_rule()
+    h = upper / panels
+    u = (h * np.arange(panels)[:, None] + (0.5 * h) * (x + 1.0)).ravel()
+    weights = np.tile((0.5 * h) * w, panels) * np.exp(-np.square(xi * u))
     out = np.empty(arr.size)
     rows = _BLOCK // u.size  # >= 10: DELTA_PHI_MAX bounds u.size near 1e5
     for i in range(0, arr.size, rows):
@@ -229,8 +240,19 @@ def phi_z(xi: float, delta_phi):
 
 
 def phi_z_thin(delta_phi):
-    """Thin-crystal (collinear) limit: Phi_z / l = sinc(delta_phi)."""
-    return numerics.sinc(delta_phi)
+    """Thin-crystal (collinear) limit: Phi_z / l = sinc(delta_phi)
+    = sin(delta_phi)/delta_phi, with sinc(0) = 1.
+
+    Accepts scalars or arrays.  (Unlike numpy.sinc there is no factor of
+    pi in the argument.)
+    """
+    arr = np.asarray(delta_phi, dtype=float)
+    small = np.abs(arr) < 1e-4
+    safe = np.where(small, 1.0, arr)
+    out = np.where(small, 1.0 - arr * arr / 6.0, np.sin(safe) / safe)
+    if np.ndim(delta_phi) == 0:
+        return float(out)
+    return out
 
 
 def phi_z_thick(xi: float) -> float:
@@ -276,13 +298,6 @@ def overlap_phi(
     transverse = math.pi / math.sqrt(geom.A * geom.C) \
         * math.exp(-delta_k_y ** 2 / (4.0 * geom.C))
     return transverse * crystal_length_l * phi_z(geom.Xi, dphi)
-
-
-def updated_with_mismatch(geom: OverlapGeometry, delta_k_y: float,
-                          delta_k_z: float, crystal_length_l: float) -> OverlapGeometry:
-    """Copy of ``geom`` with K and delta_phi filled in for reporting."""
-    K = longitudinal_k(geom, delta_k_y, delta_k_z)
-    return replace(geom, K=K, delta_phi=K * crystal_length_l / 2.0)
 
 
 def spectral_integral_S(xi):

@@ -19,7 +19,7 @@ import numpy as np
 from . import materials, modes
 from .constants import C_LIGHT, EPSILON_0, HBAR
 from .errors import UnequalWaists, ValidationError
-from .materials import CrystalSpec, delta_k_z, dispersion_factor, effective_nonlinearity_bbo
+from .materials import CrystalSpec, dispersion_factor, effective_nonlinearity_bbo
 from .modes import GaussianMode, geometry_coefficients, phi_z, spectral_integral_S
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "RateReport",
     "ComparisonRow",
     "pump_amplitude_sq",
+    "delta_phi_grid",
     "spectral_rate_density",
     "total_rate",
     "thin_crystal_rates",
@@ -37,6 +38,11 @@ __all__ = [
     "gamma_sweep",
     "experiment_comparison",
 ]
+
+# total_rate samples the spectrum at this many signal frequencies,
+# spanning delta_phi in [-span, span] about the phase-matched point
+SPECTRAL_POINTS = 2001
+SPECTRAL_SPAN_DPHI = 100.0
 
 
 class AngleConvention(str, enum.Enum):
@@ -86,6 +92,12 @@ class SourceConfig:
     def __post_init__(self):
         if not 0 < self.pump_power_p < math.inf:
             raise ValidationError("pump_power must be finite and > 0")
+        if self.collection_solid_angle_sr is not None \
+                and not 0 < self.collection_solid_angle_sr < math.inf:
+            raise ValidationError("collection.solid_angle_sr must be finite and > 0")
+        if self.pair_to_singles_ratio is not None \
+                and not 0 < self.pair_to_singles_ratio <= 1:
+            raise ValidationError("collection.pair_to_singles_ratio must lie in (0, 1]")
         lam_d = 2.0 * self.pump.lambda_vac
         for m in (self.signal, self.idler):
             if abs(m.lambda_vac - lam_d) > 1e-9 * lam_d:
@@ -145,24 +157,29 @@ def _density_prefactor(config: SourceConfig) -> float:
             / (2.0 * math.pi * config.signal.n * config.idler.n))
 
 
+def delta_phi_grid(config: SourceConfig, omega_s):
+    """Phase mismatch delta_phi = delta_k_z l/2 at a signal frequency or
+    an array of them, the idler taking omega_p - omega_s (K = delta_k_z
+    under perfect transverse matching)."""
+    omega_p = config.pump.omega
+    omega_i = omega_p - omega_s
+    dkz = (config.signal.n * omega_s * math.cos(config.signal.theta)
+           + config.idler.n * omega_i * math.cos(config.idler.theta)
+           - config.pump.n * omega_p) / C_LIGHT
+    return dkz * config.crystal.length_l / 2.0
+
+
 def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
     """Vectorised dR/domega_s over an array of signal frequencies."""
     omega_s = np.asarray(omega_s, dtype=float)
     omega_p = config.pump.omega
     if np.any(omega_s <= 0) or np.any(omega_s >= omega_p):
         raise ValidationError("omega_s must lie strictly inside (0, omega_p)")
-    omega_i = omega_p - omega_s
-    geom = geometry_coefficients(config.pump, config.signal, config.idler,
-                                 config.crystal.length_l)
     l = config.crystal.length_l
-    ths, thi = config.signal.theta, config.idler.theta
-    dkz = (config.signal.n * omega_s * math.cos(ths)
-           + config.idler.n * omega_i * math.cos(thi)
-           - config.pump.n * omega_p) / C_LIGHT
-    dphi = dkz * l / 2.0  # K = delta_k_z under perfect transverse matching
+    geom = geometry_coefficients(config.pump, config.signal, config.idler, l)
     transverse = math.pi / math.sqrt(geom.A * geom.C)
-    phi = transverse * l * phi_z(geom.Xi, dphi)
-    return _density_prefactor(config) * omega_s * omega_i * phi * phi
+    phi = transverse * l * phi_z(geom.Xi, delta_phi_grid(config, omega_s))
+    return _density_prefactor(config) * omega_s * (omega_p - omega_s) * phi * phi
 
 
 def spectral_rate_density(config: SourceConfig, omega_s: float) -> float:
@@ -176,22 +193,22 @@ def spectral_rate_density(config: SourceConfig, omega_s: float) -> float:
     return float(_spectral_density_grid(config, np.array([omega_s]))[0])
 
 
-def _default_sample_grid(config: SourceConfig, span_dphi: float = 100.0,
-                         points: int = 2001) -> np.ndarray:
-    """omega_s grid covering delta_phi in [-span, span] about the
-    phase-matched point (the spectral weight |Phi_z|^2 lives there)."""
+def _default_sample_grid(config: SourceConfig) -> np.ndarray:
+    """omega_s grid covering delta_phi in [-SPECTRAL_SPAN_DPHI,
+    SPECTRAL_SPAN_DPHI] about the phase-matched point (the spectral
+    weight |Phi_z|^2 lives there)."""
     omega_p = config.pump.omega
     l = config.crystal.length_l
     ths, thi = config.signal.theta, config.idler.theta
     slope = (config.signal.n * math.cos(ths)
              - config.idler.n * math.cos(thi)) / C_LIGHT * l / 2.0
-    dphi_deg = delta_k_z(config.signal.n, config.idler.n, config.pump.n,
-                         omega_p / 2, omega_p / 2, omega_p, ths, thi) * l / 2.0
-    center = omega_p / 2.0 - dphi_deg / slope
-    half = span_dphi / abs(slope)
+    if slope == 0.0:  # total_rate refuses a vanishing bracket, so l underflowed
+        raise ValidationError(f"crystal.length {l:g} m is too short to sample the spectrum")
+    center = omega_p / 2.0 - delta_phi_grid(config, omega_p / 2) / slope
+    half = SPECTRAL_SPAN_DPHI / abs(slope)
     lo = max(center - half, 1e-6 * omega_p)
     hi = min(center + half, (1 - 1e-6) * omega_p)
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, SPECTRAL_POINTS)
 
 
 def _pair_rate(config: SourceConfig, S: float, angular: float, dn: float) -> float:
@@ -207,7 +224,24 @@ def _pair_rate(config: SourceConfig, S: float, angular: float, dn: float) -> flo
                * (math.pi * wp * wp) * angular * dn))
 
 
-def total_rate(config: SourceConfig, spectral_points: int = 2001) -> RateReport:
+def _require_equal_waists(config: SourceConfig):
+    wp, ws, wi = config.pump.waist_w, config.signal.waist_w, config.idler.waist_w
+    if not (math.isclose(wp, ws, rel_tol=1e-12) and math.isclose(wp, wi, rel_tol=1e-12)):
+        raise UnequalWaists("the closed-form rates require Wp = Ws = Wi; "
+                            "use waist_scaling for the general waist dependence")
+
+
+def _efficiencies(config: SourceConfig, rate: float):
+    """``rate`` in pairs per pump photon per mm of crystal, and that per
+    sr of collection solid angle (None when the config gives none)."""
+    length_mm = config.crystal.length_l * 1e3
+    eff_mm = rate * HBAR * config.pump.omega / (config.pump_power_p * length_mm)
+    if config.collection_solid_angle_sr is None:
+        return eff_mm, None
+    return eff_mm, eff_mm / config.collection_solid_angle_sr
+
+
+def total_rate(config: SourceConfig) -> RateReport:
     """Total pair rate for the matched non-collinear geometry,
 
         R_T = 4 d^2 P l w_p^2 S(Xi)
@@ -219,12 +253,7 @@ def total_rate(config: SourceConfig, spectral_points: int = 2001) -> RateReport:
     derivation of the closed form).
     """
     warnings: list[str] = []
-    wp, ws, wi = config.pump.waist_w, config.signal.waist_w, config.idler.waist_w
-    if not (math.isclose(wp, ws, rel_tol=1e-12) and math.isclose(wp, wi, rel_tol=1e-12)):
-        raise UnequalWaists(
-            "closed-form total rate requires Wp = Ws = Wi; "
-            "use waist_scaling for the general waist dependence"
-        )
+    _require_equal_waists(config)
     ths, thi = config.signal.theta, config.idler.theta
     if abs(ths - thi) > 1e-9:
         warnings.append(
@@ -255,17 +284,10 @@ def total_rate(config: SourceConfig, spectral_points: int = 2001) -> RateReport:
     if ths == 0.0 and thi == 0.0:
         _, r_thin = thin_crystal_rates(config)
 
-    grid = _default_sample_grid(config, points=spectral_points)
+    grid = _default_sample_grid(config)
     density = _spectral_density_grid(config, grid)
     samples = list(zip(grid.tolist(), density.tolist()))
-
-    omega_p = config.pump.omega
-    length_mm = config.crystal.length_l * 1e3
-    eff_mm = r_t * HBAR * omega_p / (config.pump_power_p * length_mm)
-    eff_mm_sr = None
-    if config.collection_solid_angle_sr:
-        eff_mm_sr = eff_mm / config.collection_solid_angle_sr
-
+    eff_mm, eff_mm_sr = _efficiencies(config, r_t)
     return RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
                       spectral_samples=samples, efficiency_per_mm=eff_mm,
                       efficiency_per_mm_sr=eff_mm_sr, warnings=warnings)
@@ -287,9 +309,7 @@ def thin_crystal_rates(config: SourceConfig):
     factor is 3.  Requires collinear type-II operation (theta = 0,
     n_i != n_s) and equal waists.
     """
-    wp, ws, wi = config.pump.waist_w, config.signal.waist_w, config.idler.waist_w
-    if not (math.isclose(wp, ws, rel_tol=1e-12) and math.isclose(wp, wi, rel_tol=1e-12)):
-        raise UnequalWaists("thin-crystal closed forms require Wp = Ws = Wi")
+    _require_equal_waists(config)
     if config.signal.theta != 0.0 or config.idler.theta != 0.0:
         raise ValidationError("thin_crystal_rates requires collinear geometry (theta = 0)")
     n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
@@ -300,14 +320,13 @@ def thin_crystal_rates(config: SourceConfig):
     d = config.d_eff
     P = config.pump_power_p
     l = config.crystal.length_l
+    wp = config.pump.waist_w
     area = math.pi * wp * wp
     pref = (2.0 * d * d * omega_p ** 2 * P * l * l
             / (9.0 * math.pi * n_p * n_s * n_i * EPSILON_0 * C_LIGHT ** 3 * area))
 
     def density(omega_s: float) -> float:
-        omega_i = omega_p - omega_s
-        dkz = delta_k_z(n_s, n_i, n_p, omega_s, omega_i, omega_p, 0.0, 0.0)
-        s = modes.phi_z_thin(dkz * l / 2.0)
+        s = modes.phi_z_thin(delta_phi_grid(config, omega_s))
         return pref * s * s
 
     return density, rate
@@ -390,12 +409,7 @@ def experiment_comparison(config: SourceConfig):
         idler=replace(config.idler, theta=0.0),
     )
     _, r_thin = thin_crystal_rates(collinear)
-    omega_p = config.pump.omega
-    length_mm = config.crystal.length_l * 1e3
-    eff_mm = paths * r_thin * HBAR * omega_p / (config.pump_power_p * length_mm)
-    eff_mm_sr = None
-    if config.collection_solid_angle_sr:
-        eff_mm_sr = eff_mm / config.collection_solid_angle_sr
+    eff_mm, eff_mm_sr = _efficiencies(config, paths * r_thin)
 
     ref = config.reference_values or {}
     ref_xi = ref.get("xi")

@@ -25,7 +25,7 @@ from spdcgauss.modes import (
     phi_z,
     spectral_integral_S,
 )
-from spdcgauss.numerics import sinc
+from spdcgauss.modes import phi_z_thin as sinc
 from spdcgauss.rates import (
     experiment_comparison,
     optimal_gamma,

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spdcgauss as sg
 from spdcgauss.cli import main
@@ -243,6 +249,14 @@ def test_cli_numerical_exit_code(tmp_path, capsys):
     ["sweep-xi", "--xi-max", "inf"],
     ["sweep-gamma", "--gamma-min", "nan"],
     ["sweep-gamma", "--gamma-max", "inf"],
+    ["compare-experiment", "--config", sg.builtin_config_path(),
+     "--set", "crystal.length_mm=1e-320"],
+    ["compare-experiment", "--config", sg.builtin_config_path(),
+     "--set", "collection.solid_angle_sr=-1"],
+    ["compare-experiment", "--config", sg.builtin_config_path(),
+     "--set", "collection.pair_to_singles_ratio=-1"],
+    ["compare-experiment", "--config", sg.builtin_config_path(),
+     "--set", "collection.solid_angle_sr=0"],
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
@@ -300,3 +314,94 @@ def test_cli_determinism_sweep(tmp_path):
     b1 = open(os.path.join(out1, "sweep_xi.csv"), "rb").read()
     b2 = open(os.path.join(out2, "sweep_xi.csv"), "rb").read()
     assert b1 == b2
+
+
+# ---------------------------------------------------- adversarial CLI input
+
+ERROR_LINE = re.compile(r"error (PARSE|UNKNOWN_MATERIAL|VALIDATION|NUMERICAL|IO): ")
+EXIT_CODES = {"PARSE": 2, "UNKNOWN_MATERIAL": 2, "VALIDATION": 2, "NUMERICAL": 3, "IO": 4}
+
+OVERRIDE_KEYS = (
+    "pump.wavelength_nm", "pump.power_mw", "pump.waist_um", "signal.waist_um",
+    "idler.waist_um", "signal.wavelength_nm", "idler.wavelength_nm",
+    "crystal.material", "crystal.length_mm", "crystal.theta_c_deg", "crystal.phi_c_deg",
+    "collection.external_angle_deg", "collection.solid_angle_sr",
+    "collection.pair_to_singles_ratio", "collection.decay_paths",
+    "angle_convention", "polarization_assignment", "reference.xi",
+    "reference.efficiency_per_mm", "pump", "crystal", "collection", "reference",
+)
+# JSON text of the value an override sets: non-finite, zero, extreme and
+# subnormal numbers, huge integers, wrong types and removed objects
+OVERRIDE_VALUES = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "0", "-0.0", "1e300", "-1e300",
+                     "1e-300", "1e-320", "5e-324", "1", "-1", "2", str(10 ** 400),
+                     '"BBO"', '"x"', "true", "null", "[]", "{}", "[1.0]",
+                     '"internal_physics"', '"signal_extraordinary"']),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-10, max_value=100).map(str),
+)
+MALFORMED_ARGV = (
+    [],
+    ["spectrum", "--dphi-min", "-1e4"],
+    ["sweep-gamma", "--points", "abc"],
+    ["sweep-xi", "--points", "1.5"],
+    ["rate", "--no-such-flag"],
+    ["no-such-command"],
+    ["figures", "--config", "x"],
+    ["sweep-xi", "--set", "pump.power_mw=5"],
+    ["rate", "--angle-convention", "sideways"],
+    ["spectrum", "--xi", "1,,2"],
+    ["spectrum", "--set", "pump.power_mw=5"],
+    ["rate", "--config", "no\nsuch.json"],
+)
+
+
+FLAG_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "1e300", "-1e300", "1e-300", "5e-324"]),
+    st.floats().map(repr),
+)
+SWEEP_FLAGS = {"spectrum": ("--dphi-min", "--dphi-max"),
+               "sweep-xi": ("--xi-min", "--xi-max"),
+               "sweep-gamma": ("--gamma-min", "--gamma-max")}
+
+
+@st.composite
+def adversarial_argv(draw, out):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.sampled_from(MALFORMED_ARGV))
+    if kind == 1:  # a sweep over random bounds, few points
+        command = draw(st.sampled_from(sorted(SWEEP_FLAGS)))
+        argv = [command, "--out", out, "--force", "--points", str(draw(st.integers(-1, 9)))]
+        return argv + [f"{flag}={draw(FLAG_NUMBERS)}" for flag in SWEEP_FLAGS[command]]
+    command = draw(st.sampled_from(["rate", "compare-experiment", "spectrum"]))
+    argv = [command, "--config", sg.builtin_config_path(), "--out", out, "--force"]
+    if command == "spectrum":
+        argv += ["--points", "5"]
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(OVERRIDE_KEYS))
+        argv += ["--set", f"{key}={draw(OVERRIDE_VALUES)}"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_adversarial_inputs_keep_the_error_contract(tmp_path_factory, data):
+    argv = data.draw(adversarial_argv(str(tmp_path_factory.getbasetemp() / "adversarial")))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            code = main(argv)
+    except BaseException as exc:  # SystemExit included: main must return the code
+        raise AssertionError(f"{argv}: {type(exc).__name__}: {exc}") from None
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and err.endswith("\n"), (argv, err)
+        match = ERROR_LINE.match(lines[0])
+        assert match and EXIT_CODES[match.group(1)] == code, (argv, code, err)

@@ -25,7 +25,7 @@ from spdcgauss.modes import (
     phi_z_thin,
     spectral_integral_S,
 )
-from spdcgauss.numerics import sinc
+from spdcgauss.modes import phi_z_thin as sinc
 
 
 def S_parseval(xi: float) -> float:

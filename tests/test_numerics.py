@@ -14,7 +14,7 @@ from quadrature_oracle import (
     integrate_symmetric_infinite,
 )
 from spdcgauss.modes import phi_z_thick, spectral_integral_S
-from spdcgauss.numerics import sinc
+from spdcgauss.modes import phi_z_thin as sinc
 
 
 def erf_via_phi_z_thick(x: float) -> float:
