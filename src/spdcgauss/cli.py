@@ -76,12 +76,6 @@ def _finish(args, outputs: list, parameters: dict):
         print(f"wrote {os.path.join(args.out, name)}")
 
 
-def _load(args) -> rates.SourceConfig:
-    if not args.config:
-        raise ValidationError(f"command {args.command!r} requires --config PATH")
-    return cfgmod.load_config(args.config, args.material_db, _overrides(args))
-
-
 def _require_finite(args, *names):
     """Refuse NaN and infinite float flags as invalid input before
     np.linspace fails on them as a numerical error."""
@@ -118,7 +112,7 @@ def _gamma_rows(lo, hi, points):
 
 
 def cmd_rate(args):
-    cfg = _load(args)
+    cfg = cfgmod.load_config(args.config, args.material_db, _overrides(args))
     report = rates.total_rate(cfg)
     scalar_rows = [
         ("Xi", report.Xi),
@@ -130,14 +124,16 @@ def cmd_rate(args):
          "" if report.efficiency_per_mm_sr is None else report.efficiency_per_mm_sr),
         ("pump_power_W", cfg.pump_power_p),
     ]
+    dphi = rates.delta_phi_grid(cfg, np.array([w for w, _ in report.spectral_samples]))
+    spectrum_rows = [(w, dens, p) for (w, dens), p in zip(report.spectral_samples, dphi.tolist())]
     outputs = [_write_csv(args.out, "rate_report.csv", ["quantity", "value"],
                           scalar_rows, args.force),
                _write_csv(args.out, "rate_spectrum.csv",
-                          ["omega_s_rad_per_s", "spectral_density_pairs_per_rad"],
-                          report.spectral_samples, args.force)]
+                          ["omega_s_rad_per_s", "spectral_density_pairs_per_rad", "delta_phi"],
+                          spectrum_rows, args.force)]
     for w in report.warnings:
         print(f"warning: {w}")
-    print(f"Xi = {report.Xi:.6f}   S = {report.S:.6f}   "
+    print(f"Xi = {report.Xi:.6g}   S = {report.S:.6g}   "
           f"R_T = {report.R_T:.6g} pairs/s at P = {cfg.pump_power_p * 1e3:.6g} mW")
     return outputs, {}
 
@@ -150,24 +146,10 @@ def cmd_spectrum(args):
         raise ValidationError("require --dphi-min < --dphi-max")
     if points < 2:
         raise ValidationError("--points must be >= 2")
-    if not args.config and (args.set or args.material_db or args.angle_convention):
-        raise ValidationError("--set, --material-db and --angle-convention need --config")
     outputs = [_write_csv(args.out, "spectrum_overlap.csv",
                           ["xi", "delta_phi", "phi_z_over_l"],
                           _overlap_rows(xis, lo, hi, points), args.force)]
-    params = {"xi_list": list(xis), "delta_phi": [lo, hi], "points": points}
-    if args.config:
-        cfg = _load(args)
-        report = rates.total_rate(cfg)
-        omega_s = np.array([w for w, _ in report.spectral_samples])
-        dphi = rates.delta_phi_grid(cfg, omega_s).tolist()
-        rows = [(w, p, dens) for (w, dens), p in zip(report.spectral_samples, dphi)]
-        outputs.append(_write_csv(args.out, "spectrum_density.csv",
-                                  ["omega_s_rad_per_s", "delta_phi",
-                                   "spectral_density_pairs_per_rad"],
-                                  rows, args.force))
-        params["config_xi"] = report.Xi
-    return outputs, params
+    return outputs, {"xi_list": list(xis), "delta_phi": [lo, hi], "points": points}
 
 
 def cmd_sweep_xi(args):
@@ -214,7 +196,7 @@ def cmd_figures(args):
 
 
 def cmd_compare_experiment(args):
-    cfg = _load(args)
+    cfg = cfgmod.load_config(args.config, args.material_db, _overrides(args))
     rows, report = rates.experiment_comparison(cfg)
     csv_rows = [
         (r.quantity, r.model,
@@ -228,7 +210,7 @@ def cmd_compare_experiment(args):
     print(f"{'quantity':<42}{'model':>14}{'reference':>14}{'deviation':>11}")
     for r in rows:
         ref = f"{r.reference:.4g}" if r.reference is not None else "-"
-        dev = f"{100 * r.rel_deviation:+.1f}%" if r.rel_deviation is not None else "-"
+        dev = f"{100 * r.rel_deviation:+.3g}%" if r.rel_deviation is not None else "-"
         print(f"{r.quantity:<42}{r.model:>14.5g}{ref:>14}{dev:>11}")
     for w in report.warnings:
         print(f"warning: {w}")
@@ -256,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
         if source:
-            p.add_argument("--config", help="source configuration JSON")
+            p.add_argument("--config", required=True, help="source configuration JSON")
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override a config field (dotted path)")
             p.add_argument("--material-db", help="alternative material database JSON")
@@ -265,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     command("rate", cmd_rate, "total rate report for a config", source=True)
-    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves (and spectral "
-                "density when --config given)", source=True)
+    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves")
     p.add_argument("--xi", help="comma-separated walk-off values "
                                "(default 0,0.5,1,2,4)")
     p.add_argument("--dphi-min", type=float, default=FIG_OVERLAP_RANGE[0])

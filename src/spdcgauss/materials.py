@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .constants import C_LIGHT
 from .errors import (
     DegenerateDispersion,
@@ -40,31 +42,24 @@ __all__ = [
 ]
 
 
-def _n_sq_pole_quadratic(coeffs, lam_um):
-    # n^2 = c0 + c1/(lam^2 - c2) - c3*lam^2, lam in micrometres
-    c0, c1, c2, c3 = coeffs
-    lam2 = lam_um * lam_um
-    return c0 + c1 / (lam2 - c2) - c3 * lam2
-
-
-_FORMS = {"pole_quadratic": _n_sq_pole_quadratic}
+# smallest |n_i cos(theta_i) - n_s cos(theta_s)| dispersion_factor accepts
+DISPERSION_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
 class SellmeierSet:
-    """One polarization branch of n^2(lambda).
+    """One polarization branch of n^2(lambda) in the pole-quadratic form
 
-    ``coefficients`` are interpreted by ``form`` (see ``_FORMS``);
-    ``valid_range_m`` is the (min, max) vacuum wavelength in metres.
+        n^2 = c0 + c1/(lam^2 - c2) - c3 lam^2,   lam in micrometres,
+
+    with ``coefficients`` = (c0, c1, c2, c3); ``valid_range_m`` is the
+    (min, max) vacuum wavelength in metres.
     """
 
-    form: str
     coefficients: tuple
     valid_range_m: tuple
 
     def __post_init__(self):
-        if self.form not in _FORMS:
-            raise ValidationError(f"unknown dispersion form {self.form!r}")
         lo, hi = self.valid_range_m
         if not 0 < lo < hi:
             raise ValidationError("valid_range must satisfy 0 < min < max")
@@ -72,9 +67,7 @@ class SellmeierSet:
         for i in range(33):
             lam = lo + (hi - lo) * i / 32
             if not self.n_sq(lam) > 1.0:
-                raise ValidationError(
-                    f"n^2(lambda) <= 1 at {lam * 1e9:.1f} nm for form {self.form!r}"
-                )
+                raise ValidationError(f"n^2(lambda) <= 1 at {lam * 1e9:.1f} nm")
 
     def n_sq(self, lambda_vac_m: float) -> float:
         lo, hi = self.valid_range_m
@@ -83,7 +76,10 @@ class SellmeierSet:
                 f"wavelength {lambda_vac_m * 1e9:.1f} nm outside validity window "
                 f"[{lo * 1e9:.0f}, {hi * 1e9:.0f}] nm"
             )
-        return _FORMS[self.form](self.coefficients, lambda_vac_m * 1e6)
+        c0, c1, c2, c3 = self.coefficients
+        lam_um = lambda_vac_m * 1e6
+        lam2 = lam_um * lam_um
+        return c0 + c1 / (lam2 - c2) - c3 * lam2
 
     def index(self, lambda_vac_m: float) -> float:
         return math.sqrt(self.n_sq(lambda_vac_m))
@@ -136,11 +132,13 @@ class CrystalSpec:
 def _sellmeier_from_json(obj, where):
     try:
         form = obj["form"]
-        coeffs = tuple(float(c) for c in obj["coefficients"])
+        c0, c1, c2, c3 = (float(c) for c in obj["coefficients"])
         lo_um, hi_um = obj["range_um"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed Sellmeier entry at {where}: {exc}") from exc
-    return SellmeierSet(form, coeffs, (float(lo_um) * 1e-6, float(hi_um) * 1e-6))
+    if form != "pole_quadratic":
+        raise ParseError(f"{where}: unknown dispersion form {form!r}")
+    return SellmeierSet((c0, c1, c2, c3), (float(lo_um) * 1e-6, float(hi_um) * 1e-6))
 
 
 def load_material_db(path=None) -> dict:
@@ -234,36 +232,37 @@ def external_angle(theta_internal: float, n_inside: float) -> float:
     return math.asin(s)
 
 
-def delta_k_z(n_s, n_i, n_p, omega_s, omega_i, omega_p, theta_s, theta_i) -> float:
+def delta_k_z(n_s, n_i, n_p, omega_s, omega_i, omega_p, theta_s, theta_i):
     """Longitudinal wave-vector mismatch
 
         delta_k_z = (n_s w_s cos(theta_s) + n_i w_i cos(theta_i) - n_p w_p) / c
 
     in 1/m; zero at perfect longitudinal phase matching.  Angles are
-    internal.  Only delta_k_z^2 enters the emission model, so the overall
-    sign convention is immaterial downstream.
+    internal; ``omega_s`` and ``omega_i`` may be ndarrays, with w_s + w_i
+    = w_p throughout.  Only delta_k_z^2 enters the emission model, so the
+    overall sign convention is immaterial downstream.
     """
-    if abs(omega_p - omega_s - omega_i) > 1e-12 * omega_p:
-        raise EnergyMismatch(
-            f"omega_p - omega_s - omega_i = {omega_p - omega_s - omega_i:.6e} rad/s"
-        )
+    mismatch = np.max(np.abs(omega_p - omega_s - omega_i))
+    if mismatch > 1e-12 * omega_p:
+        raise EnergyMismatch(f"|omega_p - omega_s - omega_i| = {mismatch:.6e} rad/s")
     return (n_s * omega_s * math.cos(theta_s)
             + n_i * omega_i * math.cos(theta_i)
             - n_p * omega_p) / C_LIGHT
 
 
-def dispersion_factor(n_s, n_i, theta_s, theta_i, epsilon: float = 1e-6) -> float:
+def dispersion_factor(n_s, n_i, theta_s, theta_i) -> float:
     """d(delta_k_z)/d(omega_s) = (n_i cos(theta_i) - n_s cos(theta_s)) / c.
 
     Sign is preserved (it only reflects the signal/idler labelling).
     Raises :class:`DegenerateDispersion` when the bracket is smaller than
-    ``epsilon`` in index units: the linearized change of variables from
-    frequency to longitudinal mismatch breaks down there (e.g. type-I
-    degenerate collinear operation).
+    ``DISPERSION_EPSILON`` in index units: the linearized change of
+    variables from frequency to longitudinal mismatch breaks down there
+    (e.g. type-I degenerate collinear operation).
     """
     bracket = n_i * math.cos(theta_i) - n_s * math.cos(theta_s)
-    if abs(bracket) < epsilon:
+    if abs(bracket) < DISPERSION_EPSILON:
         raise DegenerateDispersion(
-            f"|n_i cos(theta_i) - n_s cos(theta_s)| = {abs(bracket):.3e} < {epsilon:.1e}"
+            f"|n_i cos(theta_i) - n_s cos(theta_s)| = {abs(bracket):.3e} "
+            f"< {DISPERSION_EPSILON:.1e}"
         )
     return bracket / C_LIGHT

@@ -281,15 +281,16 @@ def longitudinal_k(geom: OverlapGeometry, delta_k_y: float, delta_k_z: float) ->
 def overlap_phi(
     geom: OverlapGeometry,
     delta_k_y: float,
-    delta_k_z: float,
+    delta_k_z,
     crystal_length_l: float,
-) -> float:
+):
     """Full three-mode overlap integral (m^3),
 
         Phi = pi/sqrt(A C) * exp(-delta_k_y^2/(4C)) * l * Phi_z/l ,
 
     real-valued because the z-interval is symmetric.  delta_k_x = 0 by
-    construction (all beams lie in the y-z plane).
+    construction (all beams lie in the y-z plane).  ``delta_k_z`` may be
+    a scalar or an ndarray, as ``delta_phi`` of :func:`phi_z`.
     """
     if not crystal_length_l > 0:
         raise ValidationError("crystal length must be > 0")

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import materials, modes
 from .constants import C_LIGHT, EPSILON_0, HBAR
-from .errors import UnequalWaists, ValidationError
+from .errors import ComputationError, UnequalWaists, ValidationError
 from .materials import CrystalSpec, dispersion_factor, effective_nonlinearity_bbo
-from .modes import GaussianMode, geometry_coefficients, phi_z, spectral_integral_S
+from .modes import GaussianMode, geometry_coefficients, spectral_integral_S
 
 __all__ = [
     "AngleConvention",
@@ -157,16 +157,19 @@ def _density_prefactor(config: SourceConfig) -> float:
             / (2.0 * math.pi * config.signal.n * config.idler.n))
 
 
+def _delta_k_z(config: SourceConfig, omega_s):
+    """delta_k_z at a signal frequency or an array of them, the idler
+    taking omega_p - omega_s."""
+    omega_p = config.pump.omega
+    return materials.delta_k_z(config.signal.n, config.idler.n, config.pump.n,
+                               omega_s, omega_p - omega_s, omega_p,
+                               config.signal.theta, config.idler.theta)
+
+
 def delta_phi_grid(config: SourceConfig, omega_s):
     """Phase mismatch delta_phi = delta_k_z l/2 at a signal frequency or
-    an array of them, the idler taking omega_p - omega_s (K = delta_k_z
-    under perfect transverse matching)."""
-    omega_p = config.pump.omega
-    omega_i = omega_p - omega_s
-    dkz = (config.signal.n * omega_s * math.cos(config.signal.theta)
-           + config.idler.n * omega_i * math.cos(config.idler.theta)
-           - config.pump.n * omega_p) / C_LIGHT
-    return dkz * config.crystal.length_l / 2.0
+    an array of them (K = delta_k_z under perfect transverse matching)."""
+    return _delta_k_z(config, omega_s) * config.crystal.length_l / 2.0
 
 
 def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
@@ -177,8 +180,7 @@ def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
         raise ValidationError("omega_s must lie strictly inside (0, omega_p)")
     l = config.crystal.length_l
     geom = geometry_coefficients(config.pump, config.signal, config.idler, l)
-    transverse = math.pi / math.sqrt(geom.A * geom.C)
-    phi = transverse * l * phi_z(geom.Xi, delta_phi_grid(config, omega_s))
+    phi = modes.overlap_phi(geom, 0.0, _delta_k_z(config, omega_s), l)
     return _density_prefactor(config) * omega_s * (omega_p - omega_s) * phi * phi
 
 
@@ -193,15 +195,14 @@ def spectral_rate_density(config: SourceConfig, omega_s: float) -> float:
     return float(_spectral_density_grid(config, np.array([omega_s]))[0])
 
 
-def _default_sample_grid(config: SourceConfig) -> np.ndarray:
+def _default_sample_grid(config: SourceConfig, disp: float) -> np.ndarray:
     """omega_s grid covering delta_phi in [-SPECTRAL_SPAN_DPHI,
     SPECTRAL_SPAN_DPHI] about the phase-matched point (the spectral
-    weight |Phi_z|^2 lives there)."""
+    weight |Phi_z|^2 lives there); ``disp`` is the dispersion factor,
+    so d(delta_phi)/d(omega_s) = -disp l/2."""
     omega_p = config.pump.omega
     l = config.crystal.length_l
-    ths, thi = config.signal.theta, config.idler.theta
-    slope = (config.signal.n * math.cos(ths)
-             - config.idler.n * math.cos(thi)) / C_LIGHT * l / 2.0
+    slope = -disp * l / 2.0
     if slope == 0.0:  # total_rate refuses a vanishing bracket, so l underflowed
         raise ValidationError(f"crystal.length {l:g} m is too short to sample the spectrum")
     center = omega_p / 2.0 - delta_phi_grid(config, omega_p / 2) / slope
@@ -214,14 +215,24 @@ def _default_sample_grid(config: SourceConfig) -> np.ndarray:
 def _pair_rate(config: SourceConfig, S: float, angular: float, dn: float) -> float:
     """The closed-form R_T of :func:`total_rate` for spectral integral
     ``S``, angular factor ``1 + cos^2 th_i + cos^2 th_s`` and
-    ``dn = |n_i cos th_i - n_s cos th_s|``."""
+    ``dn = |n_i cos th_i - n_s cos th_s|``; refuses a rate beyond the
+    float range."""
     omega_p = config.pump.omega
     d = config.d_eff
     wp = config.pump.waist_w
     n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
-    return (4.0 * d * d * config.pump_power_p * config.crystal.length_l * omega_p ** 2 * S
+    rate = (4.0 * d * d * config.pump_power_p * config.crystal.length_l * omega_p ** 2 * S
             / (3.0 * math.pi * n_p * n_s * n_i * EPSILON_0 * C_LIGHT ** 2
                * (math.pi * wp * wp) * angular * dn))
+    if not math.isfinite(rate):
+        raise ComputationError(f"pair rate {rate} pairs/s is beyond the float range")
+    return rate
+
+
+def _thin_rate(config: SourceConfig) -> float:
+    """Thin-crystal total rate: R_T at theta = 0, where S = pi and angular = 3."""
+    disp = dispersion_factor(config.signal.n, config.idler.n, 0.0, 0.0)
+    return _pair_rate(config, math.pi, 3.0, abs(disp) * C_LIGHT)
 
 
 def _require_equal_waists(config: SourceConfig):
@@ -267,6 +278,10 @@ def total_rate(config: SourceConfig) -> RateReport:
             "inserted directly into the crystal-frame geometry (no Snell "
             "refraction applied)"
         )
+    if abs(config.d_eff) <= 1e-3 * abs(config.crystal.d22_m_per_v):
+        warnings.append(
+            f"d_eff = {config.d_eff:.3g} m/V is below 1e-3 |d22|: the rates nearly vanish"
+        )
 
     geom = geometry_coefficients(config.pump, config.signal, config.idler,
                                  config.crystal.length_l)
@@ -279,12 +294,10 @@ def total_rate(config: SourceConfig) -> RateReport:
         )
     angular = 1.0 + math.cos(thi) ** 2 + math.cos(ths) ** 2
     r_t = _pair_rate(config, S, angular, abs(disp) * C_LIGHT)
+    # at theta = 0, S = pi and the angular factor is 3: R_T is the thin rate
+    r_thin = r_t if ths == 0.0 and thi == 0.0 else None
 
-    r_thin = None
-    if ths == 0.0 and thi == 0.0:
-        _, r_thin = thin_crystal_rates(config)
-
-    grid = _default_sample_grid(config)
+    grid = _default_sample_grid(config, disp)
     density = _spectral_density_grid(config, grid)
     samples = list(zip(grid.tolist(), density.tolist()))
     eff_mm, eff_mm_sr = _efficiencies(config, r_t)
@@ -313,8 +326,7 @@ def thin_crystal_rates(config: SourceConfig):
     if config.signal.theta != 0.0 or config.idler.theta != 0.0:
         raise ValidationError("thin_crystal_rates requires collinear geometry (theta = 0)")
     n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
-    disp = dispersion_factor(n_s, n_i, 0.0, 0.0)  # DegenerateDispersion if n_i ~ n_s
-    rate = _pair_rate(config, math.pi, 3.0, abs(disp) * C_LIGHT)
+    rate = _thin_rate(config)
 
     omega_p = config.pump.omega
     d = config.d_eff
@@ -402,14 +414,7 @@ def experiment_comparison(config: SourceConfig):
     ratio = config.pair_to_singles_ratio
     paths = config.decay_path_multiplicity
     observable = paths * ratio * report.R_T
-
-    collinear = replace(
-        config,
-        signal=replace(config.signal, theta=0.0),
-        idler=replace(config.idler, theta=0.0),
-    )
-    _, r_thin = thin_crystal_rates(collinear)
-    eff_mm, eff_mm_sr = _efficiencies(config, paths * r_thin)
+    eff_mm, eff_mm_sr = _efficiencies(config, paths * _thin_rate(config))
 
     ref = config.reference_values or {}
     ref_xi = ref.get("xi")

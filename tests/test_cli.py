@@ -125,16 +125,23 @@ def test_cli_spectrum_large_xi_gaussian_shape(tmp_path):
     assert np.max(np.abs(residual)) < 1e-4
 
 
-def test_cli_spectrum_with_config(tmp_path, bbo_config):
+def test_cli_spectrum_with_config(tmp_path, capsys):
+    # a source's spectrum comes from `rate`; `spectrum` takes no config
     out = str(tmp_path / "o")
     assert main(["spectrum", "--out", out,
-                 "--config", sg.builtin_config_path()]) == 0
-    header, rows = read_csv(os.path.join(out, "spectrum_density.csv"))
-    assert header == ["omega_s_rad_per_s", "delta_phi",
-                      "spectral_density_pairs_per_rad"]
-    dens = np.array([float(r[2]) for r in rows])
+                 "--config", sg.builtin_config_path()]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error VALIDATION:")
+    assert main(["rate", "--out", out, "--config", sg.builtin_config_path()]) == 0
+    header, rows = read_csv(os.path.join(out, "rate_spectrum.csv"))
+    assert header == ["omega_s_rad_per_s", "spectral_density_pairs_per_rad",
+                      "delta_phi"]
+    dens = np.array([float(r[1]) for r in rows])
+    dphi = np.array([float(r[2]) for r in rows])
     assert np.all(dens >= 0)
     assert dens.max() > 0
+    assert dphi.min() == pytest.approx(-100.0, abs=1e-6)
+    assert dphi.max() == pytest.approx(100.0, abs=1e-6)
 
 
 def test_cli_sweep_xi(tmp_path):
@@ -199,6 +206,19 @@ def test_cli_compare_experiment(tmp_path, capsys):
     assert "observable_pairs_per_mW_s" in captured.out
 
 
+def test_cli_rate_warns_on_vanishing_d_eff(tmp_path, capsys):
+    # phi_c = 30 deg is a zero of cos(3 phi_c): d_eff and the rate vanish
+    cfgp = sg.builtin_config_path()
+    assert main(["rate", "--config", cfgp, "--out", str(tmp_path / "a")]) == 0
+    assert "d_eff" not in capsys.readouterr().out
+    out = str(tmp_path / "b")
+    assert main(["rate", "--config", cfgp, "--out", out,
+                 "--set", "crystal.phi_c_deg=30"]) == 0
+    _, rows = read_csv(os.path.join(out, "rate_report.csv"))
+    assert float({r[0]: r[1] for r in rows}["R_T_pairs_per_s"]) < 1e-20
+    assert "warning: d_eff" in capsys.readouterr().out
+
+
 def test_cli_compare_internal_convention_warns(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["compare-experiment", "--config", sg.builtin_config_path(),
@@ -227,15 +247,21 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_cli_numerical_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
     # theta_c = 0 makes the extraordinary daughter index equal n_o, a
     # type-I-like degenerate pair: the dispersion factor vanishes
+    ["rate", "--set", "crystal.theta_c_deg=0", "--set", "collection.external_angle_deg=0"],
+    # R_T beyond the float range
+    ["rate", "--set", "pump.power_mw=1e308"],
+    # the thin-crystal rate behind the efficiencies beyond the float range
+    ["compare-experiment", "--set", "crystal.length_mm=1e305"],
+], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow"])
+def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
-    code = main(["rate", "--config", sg.builtin_config_path(), "--out", out,
-                 "--set", "crystal.theta_c_deg=0",
-                 "--set", "collection.external_angle_deg=0"])
+    code = main(argv + ["--config", sg.builtin_config_path(), "--out", out])
     assert code == 3
-    assert capsys.readouterr().err.startswith("error NUMERICAL:")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error NUMERICAL:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,6 +308,11 @@ def test_cli_module_run_is_silent(tmp_path):
     (["sweep-xi", "--xi-max", "1e6", "--points", "3"], "sweep_xi.csv"),
     (["spectrum", "--xi", "1", "--dphi-min=-1e4", "--dphi-max", "1e4"],
      "spectrum_overlap.csv"),
+    # overlap-limited: Xi ~ 5e299, and R_T stays finite however long the crystal
+    (["rate", "--config", sg.builtin_config_path(), "--set", "crystal.length_mm=1e300"],
+     "rate_report.csv"),
+    (["compare-experiment", "--config", sg.builtin_config_path(),
+      "--set", "crystal.length_mm=1e300"], "comparison.csv"),
 ])
 def test_cli_extreme_inputs_bounded(tmp_path, args, name):
     # the child runs the CLI module and prints its own peak RSS (kB) last
@@ -295,10 +326,14 @@ def test_cli_extreme_inputs_bounded(tmp_path, args, name):
                           env=CHILD_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    peak_mb = int(proc.stdout.strip().splitlines()[-1]) / 1024.0
+    lines = proc.stdout.strip().splitlines()
+    peak_mb = int(lines[-1]) / 1024.0
     assert peak_mb < 200.0
+    assert max(len(line) for line in lines) < 200  # summaries print huge numbers short
     _, rows = read_csv(os.path.join(tmp_path, name))
-    values = np.array([[float(v) for v in r] for r in rows])
+    if name in ("rate_report.csv", "comparison.csv"):  # rows lead with a quantity name
+        rows = [r[1:] for r in rows]
+    values = np.array([float(v) for r in rows for v in r if v])  # "" where undefined
     assert np.all(np.isfinite(values))
 
 
@@ -352,6 +387,7 @@ MALFORMED_ARGV = (
     ["rate", "--angle-convention", "sideways"],
     ["spectrum", "--xi", "1,,2"],
     ["spectrum", "--set", "pump.power_mw=5"],
+    ["spectrum", "--config", "x"],
     ["rate", "--config", "no\nsuch.json"],
 )
 
@@ -374,10 +410,8 @@ def adversarial_argv(draw, out):
         command = draw(st.sampled_from(sorted(SWEEP_FLAGS)))
         argv = [command, "--out", out, "--force", "--points", str(draw(st.integers(-1, 9)))]
         return argv + [f"{flag}={draw(FLAG_NUMBERS)}" for flag in SWEEP_FLAGS[command]]
-    command = draw(st.sampled_from(["rate", "compare-experiment", "spectrum"]))
+    command = draw(st.sampled_from(["rate", "compare-experiment"]))
     argv = [command, "--config", sg.builtin_config_path(), "--out", out, "--force"]
-    if command == "spectrum":
-        argv += ["--points", "5"]
     for _ in range(draw(st.integers(1, 3))):
         key = draw(st.sampled_from(OVERRIDE_KEYS))
         argv += ["--set", f"{key}={draw(OVERRIDE_VALUES)}"]

@@ -1,4 +1,6 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -136,6 +138,13 @@ def test_delta_k_z_energy_mismatch():
     w = 2.0e15
     with pytest.raises(EnergyMismatch):
         delta_k_z(1.6, 1.6, 1.6, w, w, 2.0001 * w, 0.0, 0.0)
+    # an array is refused when any one sample breaks energy conservation
+    omega_s = np.linspace(0.9 * w, 1.1 * w, 5)
+    omega_i = 2 * w - omega_s
+    assert delta_k_z(1.6, 1.6, 1.6, omega_s, omega_i, 2 * w, 0.0, 0.0).shape == (5,)
+    omega_i[3] *= 1.0001
+    with pytest.raises(EnergyMismatch):
+        delta_k_z(1.6, 1.6, 1.6, omega_s, omega_i, 2 * w, 0.0, 0.0)
 
 
 def test_delta_k_z_bbo_worked_example():
@@ -154,8 +163,6 @@ def test_dispersion_factor():
         -0.11 / C_LIGHT, rel=1e-12)
     with pytest.raises(DegenerateDispersion):
         dispersion_factor(1.6, 1.6, 0.1, 0.1)
-    # epsilon is configurable
-    assert dispersion_factor(1.6, 1.6 + 1e-5, 0.0, 0.0, epsilon=1e-6) > 0
 
 
 def test_crystal_spec_validation(bbo):
@@ -182,3 +189,12 @@ def test_malformed_db(tmp_path):
     empty.write_text('{"materials": []}')
     with pytest.raises(ParseError):
         load_material_db(str(empty))
+    # pole_quadratic, with four coefficients, is the one dispersion form
+    shipped = resources.files("spdcgauss").joinpath("data/materials.json").read_text()
+    for field, value, message in (("form", "sellmeier_3term", "unknown dispersion form"),
+                                  ("coefficients", [2.7, 0.018, 0.018], "expected 4")):
+        doc = json.loads(shipped)
+        doc["materials"][0]["ordinary"][field] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            load_material_db(str(bad))
