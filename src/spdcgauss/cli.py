@@ -42,11 +42,13 @@ def _checked_path(out_dir: str, name: str, force: bool) -> str:
 
 
 def _write_csv(out_dir, name, header, rows, force) -> str:
+    """``rows``: a list of tuples or an (N, k) array; a cell is ``str`` of its Python value."""
     path = _checked_path(out_dir, name, force)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return name
 
 
@@ -76,12 +78,18 @@ def _finish(args, outputs: list, parameters: dict):
         print(f"wrote {os.path.join(args.out, name)}")
 
 
-def _require_finite(args, *names):
-    """Refuse NaN and infinite float flags as invalid input before
-    np.linspace fails on them as a numerical error."""
-    for name in names:
-        if not math.isfinite(getattr(args, name)):
-            raise ValidationError(f"--{name.replace('_', '-')} must be a finite number")
+def _grid(args, name):
+    """``np.linspace`` over ``--NAME-min``..``--NAME-max`` at ``--points``; a
+    non-finite bound, an empty range or < 2 points is invalid input."""
+    lo, hi = getattr(args, name + "_min"), getattr(args, name + "_max")
+    for flag, value in ((f"--{name}-min", lo), (f"--{name}-max", hi)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be a finite number")
+    if not lo < hi:
+        raise ValidationError(f"require --{name}-min < --{name}-max")
+    if args.points < 2:
+        raise ValidationError("--points must be >= 2")
+    return np.linspace(lo, hi, args.points)
 
 
 def _xi_list(text):
@@ -91,24 +99,20 @@ def _xi_list(text):
         raise ValidationError(f"--xi {text!r}: expected comma-separated numbers") from None
 
 
-def _overlap_rows(xis, lo, hi, points):
-    grid = np.linspace(lo, hi, points)
-    rows = []
-    for xi in xis:
-        vals = modes.phi_z(xi, grid)
-        rows.extend(zip([xi] * points, grid.tolist(), np.asarray(vals).tolist()))
-    return rows
+def _overlap_rows(xis, grid):
+    phi = np.concatenate([modes.phi_z(xi, grid) for xi in xis])
+    return np.column_stack((np.repeat(xis, grid.size), np.tile(grid, len(xis)), phi))
 
 
-def _xi_rows(lo, hi, points):
-    grid = np.linspace(lo, hi, points)
-    return list(zip(grid.tolist(), rates.spectral_integral_S(grid).tolist()))
+def _xi_rows(grid):
+    return np.column_stack((grid, rates.spectral_integral_S(grid)))
 
 
 def _gamma_rows(lo, hi, points):
     sweep = rates.gamma_sweep(lo, hi, points)
-    best = max(range(len(sweep)), key=lambda i: sweep[i][1])
-    return [(g, r, 1 if i == best else 0) for i, (g, r) in enumerate(sweep)]
+    is_max = np.arange(points) == np.argmax(sweep[:, 1])
+    # object dtype keeps is_max an int cell (0/1) beside the float columns
+    return np.column_stack((sweep.astype(object), is_max.astype(int)))
 
 
 def cmd_rate(args):
@@ -124,13 +128,13 @@ def cmd_rate(args):
          "" if report.efficiency_per_mm_sr is None else report.efficiency_per_mm_sr),
         ("pump_power_W", cfg.pump_power_p),
     ]
-    dphi = rates.delta_phi_grid(cfg, np.array([w for w, _ in report.spectral_samples]))
-    spectrum_rows = [(w, dens, p) for (w, dens), p in zip(report.spectral_samples, dphi.tolist())]
+    omega = report.spectral_samples[:, 0]
+    spectrum = np.column_stack((report.spectral_samples, rates.delta_phi_grid(cfg, omega)))
     outputs = [_write_csv(args.out, "rate_report.csv", ["quantity", "value"],
                           scalar_rows, args.force),
                _write_csv(args.out, "rate_spectrum.csv",
                           ["omega_s_rad_per_s", "spectral_density_pairs_per_rad", "delta_phi"],
-                          spectrum_rows, args.force)]
+                          spectrum, args.force)]
     for w in report.warnings:
         print(f"warning: {w}")
     print(f"Xi = {report.Xi:.6g}   S = {report.S:.6g}   "
@@ -139,27 +143,18 @@ def cmd_rate(args):
 
 
 def cmd_spectrum(args):
-    xis = _xi_list(args.xi) if args.xi else FIG_OVERLAP_XIS
-    _require_finite(args, "dphi_min", "dphi_max")
-    lo, hi, points = args.dphi_min, args.dphi_max, args.points
-    if not lo < hi:
-        raise ValidationError("require --dphi-min < --dphi-max")
-    if points < 2:
-        raise ValidationError("--points must be >= 2")
+    xis = _xi_list(args.xi) if args.xi is not None else FIG_OVERLAP_XIS
     outputs = [_write_csv(args.out, "spectrum_overlap.csv",
                           ["xi", "delta_phi", "phi_z_over_l"],
-                          _overlap_rows(xis, lo, hi, points), args.force)]
-    return outputs, {"xi_list": list(xis), "delta_phi": [lo, hi], "points": points}
+                          _overlap_rows(xis, _grid(args, "dphi")), args.force)]
+    return outputs, {"xi_list": list(xis), "delta_phi": [args.dphi_min, args.dphi_max],
+                     "points": args.points}
 
 
 def cmd_sweep_xi(args):
-    _require_finite(args, "xi_min", "xi_max")
-    if not (0 <= args.xi_min < args.xi_max):
-        raise ValidationError("require 0 <= --xi-min < --xi-max")
-    if args.points < 2:
-        raise ValidationError("--points must be >= 2")
+    # a negative --xi-min is refused by spectral_integral_S
     outputs = [_write_csv(args.out, "sweep_xi.csv", ["xi", "S"],
-                          _xi_rows(args.xi_min, args.xi_max, args.points), args.force)]
+                          _xi_rows(_grid(args, "xi")), args.force)]
     return outputs, {"xi": [args.xi_min, args.xi_max], "points": args.points}
 
 
@@ -177,10 +172,11 @@ def cmd_figures(args):
     lo, hi, pts = FIG_OVERLAP_RANGE
     outputs.append(_write_csv(args.out, "fig_longitudinal_overlap.csv",
                               ["xi", "delta_phi", "phi_z_over_l"],
-                              _overlap_rows(FIG_OVERLAP_XIS, lo, hi, pts), args.force))
+                              _overlap_rows(FIG_OVERLAP_XIS, np.linspace(lo, hi, pts)),
+                              args.force))
     xlo, xhi, xpts = FIG_XI_RANGE
     outputs.append(_write_csv(args.out, "fig_spectral_integral.csv", ["xi", "S"],
-                              _xi_rows(xlo, xhi, xpts), args.force))
+                              _xi_rows(np.linspace(xlo, xhi, xpts)), args.force))
     glo, ghi, gpts = FIG_GAMMA_RANGE
     outputs.append(_write_csv(args.out, "fig_waist_ratio.csv",
                               ["gamma", "relative_rate", "is_max"],

@@ -116,7 +116,8 @@ class RateReport:
     """Computed quantities with units.
 
     R_T and R_T_thin are pairs/s into the two collection modes;
-    spectral_samples pairs (omega_s [rad/s], dR/domega_s [pairs s/rad /s]);
+    spectral_samples is a (SPECTRAL_POINTS, 2) float array whose columns
+    are omega_s [rad/s] and dR/domega_s [pairs s/rad /s];
     efficiency_per_mm is pairs per pump photon per mm of crystal,
     R_T * hbar*omega_p / (P * l_mm).
     """
@@ -125,7 +126,7 @@ class RateReport:
     S: float
     R_T: float
     R_T_thin: float | None
-    spectral_samples: list
+    spectral_samples: np.ndarray
     efficiency_per_mm: float
     efficiency_per_mm_sr: float | None
     warnings: list
@@ -298,8 +299,7 @@ def total_rate(config: SourceConfig) -> RateReport:
     r_thin = r_t if ths == 0.0 and thi == 0.0 else None
 
     grid = _default_sample_grid(config, disp)
-    density = _spectral_density_grid(config, grid)
-    samples = list(zip(grid.tolist(), density.tolist()))
+    samples = np.column_stack((grid, _spectral_density_grid(config, grid)))
     eff_mm, eff_mm_sr = _efficiencies(config, r_t)
     return RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
                       spectral_samples=samples, efficiency_per_mm=eff_mm,
@@ -349,19 +349,14 @@ def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
 
         1 / (Wp^2 Ws^2 Wi^2 (1/Wp^2 + 1/Ws^2 + 1/Wi^2)^2),
 
-    symmetric under any permutation of the three waists.
+    symmetric under any permutation of the three waists.  Each waist may
+    be a scalar or an ndarray.
     """
-    if min(waist_wp, waist_ws, waist_wi) <= 0:
+    if min(np.min(waist_wp), np.min(waist_ws), np.min(waist_wi)) <= 0:
         raise ValidationError("waists must be > 0")
     wp2, ws2, wi2 = waist_wp ** 2, waist_ws ** 2, waist_wi ** 2
     s = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
     return 1.0 / (wp2 * ws2 * wi2 * s * s)
-
-
-def _gamma_curve(gamma):
-    # relative rate for Ws = Wi = W, Wp = gamma W (the W^-2 scale divides out)
-    g = np.asarray(gamma, dtype=float)
-    return 1.0 / (1.0 / g + 2.0 * g) ** 2
 
 
 def optimal_gamma() -> float:
@@ -373,15 +368,16 @@ def optimal_gamma() -> float:
 
 def gamma_sweep(gamma_min: float, gamma_max: float, points: int):
     """Uniform sweep of the relative rate versus gamma = Wp/W, normalized
-    to a maximum of 1.  Returns a list of (gamma, relative_rate)."""
+    to a maximum of 1: :func:`waist_scaling` at Wp = gamma W, Ws = Wi = W
+    (the W^-2 scale divides out).  Returns a (points, 2) float array
+    whose columns are gamma and the relative rate."""
     if not (0 < gamma_min < gamma_max < math.inf):
         raise ValidationError("require 0 < gamma_min < gamma_max, both finite")
     if points < 2:
         raise ValidationError("points must be >= 2")
     g = np.linspace(gamma_min, gamma_max, points)
-    y = _gamma_curve(g)
-    y = y / y.max()
-    return list(zip(g.tolist(), y.tolist()))
+    y = waist_scaling(g, 1.0, 1.0)
+    return np.column_stack((g, y / y.max()))
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,7 @@ def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     ["rate", "--config", sg.builtin_config_path(), "--set", "pump.waist_um=1e400"],
     ["spectrum", "--xi", "nan"],
     ["spectrum", "--xi", "1,abc"],
+    ["spectrum", "--xi", ""],
     ["spectrum", "--dphi-max", "inf"],
     ["spectrum", "--dphi-min=-2e5"],
     ["sweep-xi", "--xi-max", "inf"],

@@ -270,7 +270,8 @@ def test_spectral_integral_matches_nested_quadrature(xi):
     assert spectral_integral_S(xi) == pytest.approx(nested, abs=1e-6)
 
 
-@pytest.mark.parametrize("xi, span", [(0.0, 300.0), (0.5, 300.0), (6.4, 300.0),
+@pytest.mark.parametrize("xi, span", [(0.0, 300.0), (1e-6, 300.0), (1e-4, 300.0),
+                                      (1e-2, 300.0), (0.5, 300.0), (6.4, 300.0),
                                       (50.0, 300.0), (0.5, 1000.0)])
 def test_phi_z_matches_adaptive_quadrature(xi, span):
     grid = np.linspace(-span, span, 601)

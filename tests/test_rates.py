@@ -8,6 +8,7 @@ from conftest import make_config
 from spdcgauss.constants import C_LIGHT, HBAR
 from spdcgauss.errors import DegenerateDispersion, UnequalWaists, ValidationError
 from spdcgauss.rates import (
+    SPECTRAL_POINTS,
     experiment_comparison,
     gamma_sweep,
     optimal_gamma,
@@ -90,6 +91,8 @@ def test_source_config_rejects_bad_power(power):
 
 def test_spectral_samples_integrate_to_total():
     report = total_rate(make_config())
+    assert isinstance(report.spectral_samples, np.ndarray)
+    assert report.spectral_samples.shape == (SPECTRAL_POINTS, 2)
     omega, dens = np.array(report.spectral_samples).T
     integral = np.trapezoid(dens, omega)
     assert integral == pytest.approx(report.R_T, rel=0.05)
@@ -193,6 +196,7 @@ def test_optimal_gamma():
 
 def test_gamma_sweep_shape():
     sweep = gamma_sweep(0.1, 3.0, 581)
+    assert sweep.shape == (581, 2)
     gammas, values = np.array(sweep).T
     assert values.max() == 1.0
     idx_max = int(np.argmax(values))
