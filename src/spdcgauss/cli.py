@@ -8,6 +8,7 @@ byte-identical files.
 
 A refused input prints one stderr line, ``error LABEL: message``, and
 exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
+The command line is parsed and the source loaded before numpy is imported.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import config as cfgmod
 from . import modes, rates
@@ -44,7 +43,7 @@ def _checked_path(out_dir: str, name: str, force: bool) -> str:
 def _write_csv(out_dir, name, header, rows, force) -> str:
     """``rows``: a list of tuples or an (N, k) array; a cell is ``str`` of its Python value."""
     path = _checked_path(out_dir, name, force)
-    if isinstance(rows, np.ndarray):
+    if not isinstance(rows, list):
         rows = rows.tolist()
     lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -79,7 +78,7 @@ def _finish(args, outputs: list, parameters: dict):
 
 
 def _grid(args, name):
-    """``np.linspace`` over ``--NAME-min``..``--NAME-max`` at ``--points``; a
+    """``(--NAME-min, --NAME-max, --points)`` of a uniform grid; a
     non-finite bound, an empty range or < 2 points is invalid input."""
     lo, hi = getattr(args, name + "_min"), getattr(args, name + "_max")
     for flag, value in ((f"--{name}-min", lo), (f"--{name}-max", hi)):
@@ -89,7 +88,7 @@ def _grid(args, name):
         raise ValidationError(f"require --{name}-min < --{name}-max")
     if args.points < 2:
         raise ValidationError("--points must be >= 2")
-    return np.linspace(lo, hi, args.points)
+    return lo, hi, args.points
 
 
 def _xi_list(text):
@@ -99,24 +98,29 @@ def _xi_list(text):
         raise ValidationError(f"--xi {text!r}: expected comma-separated numbers") from None
 
 
-def _overlap_rows(xis, grid):
+def _overlap_rows(xis, lo, hi, points):
+    import numpy as np
+    grid = np.linspace(lo, hi, points)
     phi = np.concatenate([modes.phi_z(xi, grid) for xi in xis])
     return np.column_stack((np.repeat(xis, grid.size), np.tile(grid, len(xis)), phi))
 
 
-def _xi_rows(grid):
+def _xi_rows(lo, hi, points):
+    import numpy as np
+    grid = np.linspace(lo, hi, points)
     return np.column_stack((grid, rates.spectral_integral_S(grid)))
 
 
 def _gamma_rows(lo, hi, points):
+    import numpy as np
     sweep = rates.gamma_sweep(lo, hi, points)
     is_max = np.arange(points) == np.argmax(sweep[:, 1])
     # object dtype keeps is_max an int cell (0/1) beside the float columns
     return np.column_stack((sweep.astype(object), is_max.astype(int)))
 
 
-def cmd_rate(args):
-    cfg = cfgmod.load_config(args.config, args.material_db, _overrides(args))
+def cmd_rate(args, cfg):
+    import numpy as np
     report = rates.total_rate(cfg)
     scalar_rows = [
         ("Xi", report.Xi),
@@ -146,7 +150,7 @@ def cmd_spectrum(args):
     xis = _xi_list(args.xi) if args.xi is not None else FIG_OVERLAP_XIS
     outputs = [_write_csv(args.out, "spectrum_overlap.csv",
                           ["xi", "delta_phi", "phi_z_over_l"],
-                          _overlap_rows(xis, _grid(args, "dphi")), args.force)]
+                          _overlap_rows(xis, *_grid(args, "dphi")), args.force)]
     return outputs, {"xi_list": list(xis), "delta_phi": [args.dphi_min, args.dphi_max],
                      "points": args.points}
 
@@ -154,7 +158,7 @@ def cmd_spectrum(args):
 def cmd_sweep_xi(args):
     # a negative --xi-min is refused by spectral_integral_S
     outputs = [_write_csv(args.out, "sweep_xi.csv", ["xi", "S"],
-                          _xi_rows(_grid(args, "xi")), args.force)]
+                          _xi_rows(*_grid(args, "xi")), args.force)]
     return outputs, {"xi": [args.xi_min, args.xi_max], "points": args.points}
 
 
@@ -172,11 +176,10 @@ def cmd_figures(args):
     lo, hi, pts = FIG_OVERLAP_RANGE
     outputs.append(_write_csv(args.out, "fig_longitudinal_overlap.csv",
                               ["xi", "delta_phi", "phi_z_over_l"],
-                              _overlap_rows(FIG_OVERLAP_XIS, np.linspace(lo, hi, pts)),
-                              args.force))
+                              _overlap_rows(FIG_OVERLAP_XIS, lo, hi, pts), args.force))
     xlo, xhi, xpts = FIG_XI_RANGE
     outputs.append(_write_csv(args.out, "fig_spectral_integral.csv", ["xi", "S"],
-                              _xi_rows(np.linspace(xlo, xhi, xpts)), args.force))
+                              _xi_rows(xlo, xhi, xpts), args.force))
     glo, ghi, gpts = FIG_GAMMA_RANGE
     outputs.append(_write_csv(args.out, "fig_waist_ratio.csv",
                               ["gamma", "relative_rate", "is_max"],
@@ -191,8 +194,7 @@ def cmd_figures(args):
     return outputs, params
 
 
-def cmd_compare_experiment(args):
-    cfg = cfgmod.load_config(args.config, args.material_db, _overrides(args))
+def cmd_compare_experiment(args, cfg):
     rows, report = rates.experiment_comparison(cfg)
     csv_rows = [
         (r.quantity, r.model,
@@ -267,9 +269,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         os.makedirs(args.out, exist_ok=True)
+        sources = ([cfgmod.load_config(args.config, args.material_db, _overrides(args))]
+                   if "config" in args else [])
+        import numpy as np  # only now: a refused command line or source never loads it
         # an overflow or invalid operation raises instead of warning on stderr
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            _finish(args, *args.run(args))
+            _finish(args, *args.run(args, *sources))
         return 0
     except SpdcGaussError as exc:
         label, code, message = exc.label, exc.exit_code, str(exc)

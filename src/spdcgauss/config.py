@@ -12,6 +12,7 @@ external collection angle is converted per the angle convention.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -30,7 +31,8 @@ def builtin_config_path(name: str = "bbo_branciard") -> str:
     return str(resources.files("spdcgauss").joinpath(f"data/{name}.json"))
 
 
-def _get(d: dict, path: str, typ, required=True, default=None):
+def _get(d: dict, read: set, path: str, typ, required=True, default=None):
+    read.add(path)
     cur = d
     parts = path.split(".")
     for p in parts[:-1]:
@@ -53,10 +55,10 @@ def _get(d: dict, path: str, typ, required=True, default=None):
     raise ParseError(f"field {path!r}: expected {typ.__name__}, got {type(leaf).__name__}")
 
 
-def _get_enum(d: dict, path: str, cls, default=None):
-    """Enum member named by the string at ``path``; a missing field takes
-    ``default``, and is an error when there is none."""
-    value = _get(d, path, str, required=False)
+def _get_enum(get, path: str, cls, default=None):
+    """Enum member named by the string ``get`` reads at ``path``; a missing
+    field takes ``default``, and is an error when there is none."""
+    value = get(path, str, required=False)
     if value is None and default is not None:
         return default
     try:
@@ -89,20 +91,21 @@ def apply_overrides(raw: dict, overrides) -> dict:
     return raw
 
 
-def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
-    """Validate a raw config dict and resolve it into a SourceConfig."""
-    lam_p = _get(raw, "pump.wavelength_nm", float) * 1e-9
-    power = _get(raw, "pump.power_mw", float) * 1e-3
-    waist_p = _get(raw, "pump.waist_um", float) * 1e-6
-    waist_s = _get(raw, "signal.waist_um", float) * 1e-6
-    waist_i = _get(raw, "idler.waist_um", float) * 1e-6
+def config_from_dict(raw: dict, material_db: dict, read: set | None = None) -> SourceConfig:
+    """Resolve a raw config dict into a SourceConfig; ``read`` gets each path looked up."""
+    get = functools.partial(_get, raw, set() if read is None else read)
+    lam_p = get("pump.wavelength_nm", float) * 1e-9
+    power = get("pump.power_mw", float) * 1e-3
+    waist_p = get("pump.waist_um", float) * 1e-6
+    waist_s = get("signal.waist_um", float) * 1e-6
+    waist_i = get("idler.waist_um", float) * 1e-6
     lam_d = 2.0 * lam_p
-    lam_s = _get(raw, "signal.wavelength_nm", float, required=False)
-    lam_i = _get(raw, "idler.wavelength_nm", float, required=False)
+    lam_s = get("signal.wavelength_nm", float, required=False)
+    lam_i = get("idler.wavelength_nm", float, required=False)
     lam_s = lam_s * 1e-9 if lam_s is not None else lam_d
     lam_i = lam_i * 1e-9 if lam_i is not None else lam_d
 
-    mat_name = _get(raw, "crystal.material", str)
+    mat_name = get("crystal.material", str)
     if mat_name not in material_db:
         raise UnknownMaterial(
             f"crystal.material {mat_name!r} not in database "
@@ -110,14 +113,14 @@ def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
         )
     crystal = materials.CrystalSpec.from_material(
         material_db[mat_name],
-        length_l=_get(raw, "crystal.length_mm", float) * 1e-3,
-        theta_c=math.radians(_get(raw, "crystal.theta_c_deg", float)),
-        phi_c=math.radians(_get(raw, "crystal.phi_c_deg", float)),
+        length_l=get("crystal.length_mm", float) * 1e-3,
+        theta_c=math.radians(get("crystal.theta_c_deg", float)),
+        phi_c=math.radians(get("crystal.phi_c_deg", float)),
     )
 
-    conv = _get_enum(raw, "angle_convention", AngleConvention,
+    conv = _get_enum(get, "angle_convention", AngleConvention,
                      default=AngleConvention.INTERNAL_PHYSICS)
-    pol = _get_enum(raw, "polarization_assignment", PolarizationAssignment)
+    pol = _get_enum(get, "polarization_assignment", PolarizationAssignment)
 
     # pump is extraordinary-polarized at the cut angle; the extraordinary
     # daughter's small tilt off the cut angle is neglected in its index
@@ -129,7 +132,7 @@ def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
     else:
         n_s, n_i = n_ext, n_ord
 
-    theta_ext = math.radians(_get(raw, "collection.external_angle_deg", float))
+    theta_ext = math.radians(get("collection.external_angle_deg", float))
     if conv is AngleConvention.INTERNAL_PHYSICS:
         th_s = materials.internal_angle(theta_ext, n_s)
         th_i = materials.internal_angle(theta_ext, n_i)
@@ -140,12 +143,12 @@ def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
     signal = GaussianMode(waist_s, lam_s, th_s, n_s, Role.SIGNAL)
     idler = GaussianMode(waist_i, lam_i, th_i, n_i, Role.IDLER)
 
-    decay_paths = _get(raw, "collection.decay_paths", int, required=False, default=2)
+    decay_paths = get("collection.decay_paths", int, required=False, default=2)
     if decay_paths < 1:
         raise ValidationError("collection.decay_paths must be >= 1")
 
-    reference = {key: _get(raw, f"reference.{key}", float)
-                 for key in _get(raw, "reference", dict, required=False, default={})}
+    reference = {key: get(f"reference.{key}", float)
+                 for key in get("reference", dict, required=False, default={})}
     return SourceConfig(
         pump_power_p=power,
         pump=pump,
@@ -155,10 +158,8 @@ def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
         external_collection_angle=theta_ext,
         angle_convention=conv,
         polarization_assignment=pol,
-        collection_solid_angle_sr=_get(raw, "collection.solid_angle_sr", float,
-                                       required=False),
-        pair_to_singles_ratio=_get(raw, "collection.pair_to_singles_ratio", float,
-                                   required=False),
+        collection_solid_angle_sr=get("collection.solid_angle_sr", float, required=False),
+        pair_to_singles_ratio=get("collection.pair_to_singles_ratio", float, required=False),
         decay_path_multiplicity=decay_paths,
         reference_values=reference,
     )
@@ -166,7 +167,8 @@ def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
 
 def load_config(path: str, material_db_path: str | None = None,
                 overrides=None) -> SourceConfig:
-    """Load, validate and resolve a source-configuration file."""
+    """Load, validate and resolve a source-configuration file; an override
+    key must name a field the config reads, or an object holding one."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -179,5 +181,9 @@ def load_config(path: str, material_db_path: str | None = None,
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     raw = apply_overrides(raw, overrides)
-    db = materials.load_material_db(material_db_path)
-    return config_from_dict(raw, db)
+    read = set()
+    cfg = config_from_dict(raw, materials.load_material_db(material_db_path), read)
+    for key in (item.partition("=")[0].strip() for item in overrides or []):
+        if key not in read and not any(field.startswith(key + ".") for field in read):
+            raise ValidationError(f"override {key!r}: no config field has this path")
+    return cfg

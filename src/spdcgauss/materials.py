@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .constants import C_LIGHT
 from .errors import (
     DegenerateDispersion,
@@ -242,6 +240,7 @@ def delta_k_z(n_s, n_i, n_p, omega_s, omega_i, omega_p, theta_s, theta_i):
     = w_p throughout.  Only delta_k_z^2 enters the emission model, so the
     overall sign convention is immaterial downstream.
     """
+    import numpy as np
     mismatch = np.max(np.abs(omega_p - omega_s - omega_i))
     if mismatch > 1e-12 * omega_p:
         raise EnergyMismatch(f"|omega_p - omega_s - omega_i| = {mismatch:.6e} rad/s")

@@ -29,8 +29,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NegativeH, ValidationError
 
 __all__ = [
@@ -189,8 +187,7 @@ def geometry_coefficients(
 
 @functools.cache
 def _legendre_rule():
-    # imported on first use so that importing the package does not load
-    # numpy.polynomial; the cached arrays are shared, hence read-only
+    # the cached arrays are shared, hence read-only
     from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(_GL_ORDER)
@@ -214,6 +211,7 @@ def phi_z(xi: float, delta_phi):
     Equals sinc(delta_phi) at Xi = 0 and (sqrt(pi)/(2 Xi)) erf(Xi) at
     delta_phi = 0.
     """
+    import numpy as np
     if not 0 <= xi < math.inf:
         raise ValidationError("Xi must be finite and >= 0")
     arr = np.atleast_1d(np.asarray(delta_phi, dtype=float))
@@ -246,6 +244,7 @@ def phi_z_thin(delta_phi):
     Accepts scalars or arrays.  (Unlike numpy.sinc there is no factor of
     pi in the argument.)
     """
+    import numpy as np
     arr = np.asarray(delta_phi, dtype=float)
     small = np.abs(arr) < 1e-4
     safe = np.where(small, 1.0, arr)
@@ -314,6 +313,7 @@ def spectral_integral_S(xi):
     with S = pi (the thin-crystal anchor) for Xi < 1e-8.  S decreases
     monotonically with Xi.  ``xi`` may be a scalar or an ndarray.
     """
+    import numpy as np
     arr = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0)):
         raise ValidationError("Xi must be finite and >= 0")

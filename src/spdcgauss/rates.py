@@ -13,14 +13,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import materials, modes
 from .constants import C_LIGHT, EPSILON_0, HBAR
 from .errors import ComputationError, UnequalWaists, ValidationError
 from .materials import CrystalSpec, dispersion_factor, effective_nonlinearity_bbo
 from .modes import GaussianMode, geometry_coefficients, spectral_integral_S
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AngleConvention",
@@ -175,6 +176,7 @@ def delta_phi_grid(config: SourceConfig, omega_s):
 
 def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
     """Vectorised dR/domega_s over an array of signal frequencies."""
+    import numpy as np
     omega_s = np.asarray(omega_s, dtype=float)
     omega_p = config.pump.omega
     if np.any(omega_s <= 0) or np.any(omega_s >= omega_p):
@@ -193,7 +195,7 @@ def spectral_rate_density(config: SourceConfig, omega_s: float) -> float:
     with Phi evaluated at delta_k_y = 0 (perfect transverse phase
     matching) and the exact omega_s * omega_i product.
     """
-    return float(_spectral_density_grid(config, np.array([omega_s]))[0])
+    return float(_spectral_density_grid(config, [omega_s])[0])
 
 
 def _default_sample_grid(config: SourceConfig, disp: float) -> np.ndarray:
@@ -201,6 +203,7 @@ def _default_sample_grid(config: SourceConfig, disp: float) -> np.ndarray:
     SPECTRAL_SPAN_DPHI] about the phase-matched point (the spectral
     weight |Phi_z|^2 lives there); ``disp`` is the dispersion factor,
     so d(delta_phi)/d(omega_s) = -disp l/2."""
+    import numpy as np
     omega_p = config.pump.omega
     l = config.crystal.length_l
     slope = -disp * l / 2.0
@@ -264,6 +267,7 @@ def total_rate(config: SourceConfig) -> RateReport:
     operation (omega_s omega_i is approximated by omega_p^2/4, as in the
     derivation of the closed form).
     """
+    import numpy as np
     warnings: list[str] = []
     _require_equal_waists(config)
     ths, thi = config.signal.theta, config.idler.theta
@@ -352,6 +356,7 @@ def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
     symmetric under any permutation of the three waists.  Each waist may
     be a scalar or an ndarray.
     """
+    import numpy as np
     if min(np.min(waist_wp), np.min(waist_ws), np.min(waist_wi)) <= 0:
         raise ValidationError("waists must be > 0")
     wp2, ws2, wi2 = waist_wp ** 2, waist_ws ** 2, waist_wi ** 2
@@ -371,6 +376,7 @@ def gamma_sweep(gamma_min: float, gamma_max: float, points: int):
     to a maximum of 1: :func:`waist_scaling` at Wp = gamma W, Ws = Wi = W
     (the W^-2 scale divides out).  Returns a (points, 2) float array
     whose columns are gamma and the relative rate."""
+    import numpy as np
     if not (0 < gamma_min < gamma_max < math.inf):
         raise ValidationError("require 0 < gamma_min < gamma_max, both finite")
     if points < 2:

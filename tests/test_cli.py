@@ -86,6 +86,21 @@ def test_parse_error_malformed(tmp_path):
         sg.load_config(str(p))
 
 
+def test_overrides_of_absent_fields_objects_and_references(bbo_config):
+    pump = json.dumps({"wavelength_nm": 351.1, "power_mw": 1.0, "waist_um": 82.0})
+    cfg = sg.load_config(sg.builtin_config_path(),
+                         overrides=["signal.wavelength_nm=702.2", f"pump={pump}",
+                                    "reference.new_value=3"])
+    assert cfg.signal == bbo_config.signal and cfg.pump == bbo_config.pump
+    assert cfg.reference_values["new_value"] == 3.0
+
+
+@pytest.mark.parametrize("key", ["pump.powr_mw", "target_angle_deg", "crystal.length", ""])
+def test_override_key_no_field_reads_refused(key):
+    with pytest.raises(ValidationError, match=re.escape(repr(key))):
+        sg.load_config(sg.builtin_config_path(), overrides=[f"{key}=5"])
+
+
 def test_degenerate_wavelength_enforced():
     with pytest.raises(ValidationError, match="wavelength"):
         sg.load_config(sg.builtin_config_path(),
@@ -284,6 +299,9 @@ def test_cli_numerical_exit_code(tmp_path, capsys, argv):
      "--set", "collection.pair_to_singles_ratio=-1"],
     ["compare-experiment", "--config", sg.builtin_config_path(),
      "--set", "collection.solid_angle_sr=0"],
+    # keys that no config field reads
+    ["rate", "--config", sg.builtin_config_path(), "--set", "pump.powr_mw=5"],
+    ["compare-experiment", "--config", sg.builtin_config_path(), "--set", "target_angle_deg=0"],
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
@@ -295,6 +313,33 @@ def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
 # a child interpreter that imports the package under test
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)),
                  OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+
+
+def test_source_validation_does_not_load_numpy(tmp_path):
+    # numpy loads with the first array computation, not with a config or a refusal
+    code = f"""
+import sys
+import spdcgauss
+from spdcgauss import cli
+cfg_path = spdcgauss.builtin_config_path()
+spdcgauss.load_material_db()
+spdcgauss.load_config(cfg_path, overrides=["pump.power_mw=2", "angle_convention=internal_physics"])
+assert cli.main(["rate", "--config", cfg_path, "--set", "pump.waist_um=-50",
+                 "--out", {str(tmp_path / "refused")!r}]) == 2
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+else:
+    raise AssertionError("--help did not exit")
+assert "numpy" not in sys.modules, "numpy loaded before any array computation"
+assert cli.main(["rate", "--config", cfg_path, "--out", {str(tmp_path / "rate")!r}]) == 0
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["error VALIDATION: pump.waist must be finite and > 0"]
 
 
 def test_cli_module_run_is_silent(tmp_path):
