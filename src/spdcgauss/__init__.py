@@ -1,38 +1,36 @@
 """spdcgauss: absolute photon-pair emission rates for spontaneous
 parametric down-conversion from a bulk uniaxial crystal into single
 transverse Gaussian modes, for collinear and non-collinear geometries.
+Submodules and exported names load on first access (PEP 562).
 """
 
-from . import config, constants, materials, modes, rates
-from .config import builtin_config_path, load_config
-from .errors import (
-    ComputationError,
-    ConfigurationError,
-    DegenerateDispersion,
-    EnergyMismatch,
-    NegativeH,
-    OutOfRange,
-    OverwriteRefused,
-    ParseError,
-    SpdcGaussError,
-    UnequalWaists,
-    UnknownMaterial,
-    ValidationError,
-)
-from .materials import CrystalSpec, MaterialRecord, SellmeierSet, load_material_db
-from .modes import GaussianMode, OverlapGeometry, Role
-from .rates import (
-    AngleConvention,
-    PolarizationAssignment,
-    RateReport,
-    SourceConfig,
-    experiment_comparison,
-    gamma_sweep,
-    optimal_gamma,
-    spectral_rate_density,
-    thin_crystal_rates,
-    total_rate,
-    waist_scaling,
-)
+import importlib
+
+_SUBMODULES = ("config", "constants", "errors", "materials", "modes", "rates")
+_LAZY = {
+    "config": ("builtin_config_path", "load_config"),
+    "errors": ("ComputationError", "ConfigurationError", "DegenerateDispersion",
+               "EnergyMismatch", "NegativeH", "OutOfRange", "OverwriteRefused", "ParseError",
+               "SpdcGaussError", "UnequalWaists", "UnknownMaterial", "ValidationError"),
+    "materials": ("CrystalSpec", "MaterialRecord", "SellmeierSet", "load_material_db"),
+    "modes": ("GaussianMode", "OverlapGeometry", "Role",
+              "gamma_sweep", "optimal_gamma", "waist_scaling"),
+    "rates": ("AngleConvention", "PolarizationAssignment", "RateReport", "SourceConfig",
+              "experiment_comparison", "spectral_rate_density", "thin_crystal_rates",
+              "total_rate"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted([*_SUBMODULES, *_HOME])
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

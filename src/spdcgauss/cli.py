@@ -8,7 +8,8 @@ byte-identical files.
 
 A refused input prints one stderr line, ``error LABEL: message``, and
 exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
-The command line is parsed and the source loaded before numpy is imported.
+The command line is parsed and the source loaded before numpy is imported;
+``config`` and ``rates`` load only for the two commands that take ``--config``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import math
 import os
 import sys
 
-from . import config as cfgmod
-from . import modes, rates
+from . import modes
 from .errors import OverwriteRefused, SpdcGaussError, ValidationError
 
 __all__ = ["main"]
@@ -43,11 +43,11 @@ def _checked_path(out_dir: str, name: str, force: bool) -> str:
 def _write_csv(out_dir, name, header, rows, force) -> str:
     """``rows``: a list of tuples or an (N, k) array; a cell is ``str`` of its Python value."""
     path = _checked_path(out_dir, name, force)
-    if not isinstance(rows, list):
-        rows = rows.tolist()
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    cells = ([cell for row in rows for cell in row] if isinstance(rows, list)
+             else rows.ravel().tolist())
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + (line * len(rows)) % tuple(cells))
     return name
 
 
@@ -108,12 +108,12 @@ def _overlap_rows(xis, lo, hi, points):
 def _xi_rows(lo, hi, points):
     import numpy as np
     grid = np.linspace(lo, hi, points)
-    return np.column_stack((grid, rates.spectral_integral_S(grid)))
+    return np.column_stack((grid, modes.spectral_integral_S(grid)))
 
 
 def _gamma_rows(lo, hi, points):
     import numpy as np
-    sweep = rates.gamma_sweep(lo, hi, points)
+    sweep = modes.gamma_sweep(lo, hi, points)
     is_max = np.arange(points) == np.argmax(sweep[:, 1])
     # object dtype keeps is_max an int cell (0/1) beside the float columns
     return np.column_stack((sweep.astype(object), is_max.astype(int)))
@@ -121,6 +121,7 @@ def _gamma_rows(lo, hi, points):
 
 def cmd_rate(args, cfg):
     import numpy as np
+    from . import rates
     report = rates.total_rate(cfg)
     scalar_rows = [
         ("Xi", report.Xi),
@@ -195,6 +196,7 @@ def cmd_figures(args):
 
 
 def cmd_compare_experiment(args, cfg):
+    from . import rates
     rows, report = rates.experiment_comparison(cfg)
     csv_rows = [
         (r.quantity, r.model,
@@ -269,8 +271,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         os.makedirs(args.out, exist_ok=True)
-        sources = ([cfgmod.load_config(args.config, args.material_db, _overrides(args))]
-                   if "config" in args else [])
+        sources = []
+        if "config" in args:
+            from .config import load_config
+            sources = [load_config(args.config, args.material_db, _overrides(args))]
         import numpy as np  # only now: a refused command line or source never loads it
         # an overflow or invalid operation raises instead of warning on stderr
         with np.errstate(over="raise", divide="raise", invalid="raise"):

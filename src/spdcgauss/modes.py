@@ -19,7 +19,8 @@ Both numerical quantities have a fixed cost.  Phi_z integrates an entire
 function over [0, 1] on a composite Gauss-Legendre rule whose panel
 count follows the largest phase and the Gaussian decay; the spectral
 integral S(Xi) = int |Phi_z/l|^2 d(dphi) is evaluated in closed form
-through Plancherel's identity.
+through Plancherel's identity.  The waist-ratio curve (through A) lives
+here too; numpy loads inside array functions, and never numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -44,22 +45,32 @@ __all__ = [
     "longitudinal_k",
     "overlap_phi",
     "spectral_integral_S",
+    "waist_scaling",
+    "optimal_gamma",
+    "gamma_sweep",
 ]
 
 # magnitude below which a negative H = F - D^2/(4C) is treated as
 # floating-point cancellation and clamped to zero (1/m^2)
 H_CLAMP = 1e-18
 
-# largest |delta_phi| phi_z accepts: the rule takes about |delta_phi|
-# nodes, so this caps one overlap value at ~1e5 cosines and keeps the
-# node arrays far below the 2^20-double block, whatever the input
+# largest |delta_phi| phi_z accepts: the rule takes about |delta_phi| nodes, so one
+# overlap value costs at most ~1e5 cosines, one cos-block row of 0.8 MB
 DELTA_PHI_MAX = 1e5
 # phi_z truncates its range where exp(-Xi^2 u^2) < 1e-27, at u = 8/Xi
 _GAUSS_CUTOFF = 8.0
-# nodes of the Gauss-Legendre rule phi_z tiles over each panel
-_GL_ORDER = 32
-# rows of one cos(delta_phi u) block hold at most this many doubles
-_BLOCK = 1 << 20
+# rows of one cos(delta_phi u) block hold at most this many doubles (or one row)
+_BLOCK = 1 << 15
+# (node, weight) of leggauss(32), the rule phi_z tiles over each panel, for node > 0
+_GL_RULE = (
+    (0.048307665687738324, 0.09654008851472766), (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451), (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378), (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023), (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168), (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609), (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765), (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743), (0.9972638618494816, 0.007018610009470506))
 
 
 class Role(str, enum.Enum):
@@ -188,12 +199,12 @@ def geometry_coefficients(
 @functools.cache
 def _legendre_rule():
     # the cached arrays are shared, hence read-only
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(_GL_ORDER)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    import numpy as np
+    x, w = np.array(_GL_RULE).T
+    rule = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def phi_z(xi: float, delta_phi):
@@ -222,13 +233,13 @@ def phi_z(xi: float, delta_phi):
         raise ValidationError(
             f"delta_phi must be finite with |delta_phi| <= {DELTA_PHI_MAX:g}")
     upper = min(1.0, _GAUSS_CUTOFF / xi) if xi > 0 else 1.0
-    panels = 1 + math.ceil(max(amax, 2.0 * xi) * upper / _GL_ORDER)
     x, w = _legendre_rule()
+    panels = 1 + math.ceil(max(amax, 2.0 * xi) * upper / x.size)
     h = upper / panels
     u = (h * np.arange(panels)[:, None] + (0.5 * h) * (x + 1.0)).ravel()
     weights = np.tile((0.5 * h) * w, panels) * np.exp(-np.square(xi * u))
     out = np.empty(arr.size)
-    rows = _BLOCK // u.size  # >= 10: DELTA_PHI_MAX bounds u.size near 1e5
+    rows = max(1, _BLOCK // u.size)  # one row once u.size > 2^15: |delta_phi| > ~3.3e4
     for i in range(0, arr.size, rows):
         block = np.outer(arr[i:i + rows], u)
         out[i:i + rows] = np.cos(block, out=block) @ weights
@@ -323,3 +334,42 @@ def spectral_integral_S(xi):
     if arr.ndim == 0:
         return vals[0]
     return np.array(vals).reshape(arr.shape)
+
+
+def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
+    """Thin-crystal waist dependence of the total rate (relative units),
+
+        1 / (Wp^2 Ws^2 Wi^2 A^2),  A = 1/Wp^2 + 1/Ws^2 + 1/Wi^2
+
+    with A the overlap coefficient of :func:`geometry_coefficients`;
+    symmetric under any permutation of the three waists.  Each waist may
+    be a scalar or an ndarray.
+    """
+    import numpy as np
+    if min(np.min(waist_wp), np.min(waist_ws), np.min(waist_wi)) <= 0:
+        raise ValidationError("waists must be > 0")
+    wp2, ws2, wi2 = waist_wp ** 2, waist_ws ** 2, waist_wi ** 2
+    s = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
+    return 1.0 / (wp2 * ws2 * wi2 * s * s)
+
+
+def optimal_gamma() -> float:
+    """Pump-to-collection waist ratio maximizing the pair rate, 1/sqrt(2):
+    d/dgamma (1/gamma + 2 gamma)^-2 = 2 (1/gamma^2 - 2) (1/gamma + 2 gamma)^-3
+    vanishes only at gamma^2 = 1/2."""
+    return 1.0 / math.sqrt(2.0)
+
+
+def gamma_sweep(gamma_min: float, gamma_max: float, points: int):
+    """Uniform sweep of the relative rate versus gamma = Wp/W, normalized
+    to a maximum of 1: :func:`waist_scaling` at Wp = gamma W, Ws = Wi = W
+    (the W^-2 scale divides out).  Returns a (points, 2) float array
+    whose columns are gamma and the relative rate."""
+    import numpy as np
+    if not (0 < gamma_min < gamma_max < math.inf):
+        raise ValidationError("require 0 < gamma_min < gamma_max, both finite")
+    if points < 2:
+        raise ValidationError("points must be >= 2")
+    g = np.linspace(gamma_min, gamma_max, points)
+    y = waist_scaling(g, 1.0, 1.0)
+    return np.column_stack((g, y / y.max()))

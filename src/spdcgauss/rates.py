@@ -1,6 +1,6 @@
 """Absolute emission rates: pump amplitude from power, spectral density,
 total pair rate for matched non-collinear geometry, thin-crystal closed
-forms, waist-ratio behaviour and efficiency figures.
+forms and efficiency figures (the waist-ratio functions come from :mod:`modes`).
 
 Everything is evaluated at fixed nominal refractive indices (taken at
 the pump and degenerate daughter wavelengths) -- the indices sit outside
@@ -19,7 +19,8 @@ from . import materials, modes
 from .constants import C_LIGHT, EPSILON_0, HBAR
 from .errors import ComputationError, UnequalWaists, ValidationError
 from .materials import CrystalSpec, dispersion_factor, effective_nonlinearity_bbo
-from .modes import GaussianMode, geometry_coefficients, spectral_integral_S
+from .modes import (GaussianMode, gamma_sweep, geometry_coefficients, optimal_gamma,
+                    spectral_integral_S, waist_scaling)
 if TYPE_CHECKING:
     import numpy as np
 
@@ -303,6 +304,10 @@ def total_rate(config: SourceConfig) -> RateReport:
     r_thin = r_t if ths == 0.0 and thi == 0.0 else None
 
     grid = _default_sample_grid(config, disp)
+    distinct = np.unique(grid).size
+    if distinct < SPECTRAL_POINTS:
+        warnings.append(f"only {distinct} of the {SPECTRAL_POINTS} sampled signal frequencies "
+                        "are distinct: the crystal is too long for the float spacing of omega_s")
     samples = np.column_stack((grid, _spectral_density_grid(config, grid)))
     eff_mm, eff_mm_sr = _efficiencies(config, r_t)
     return RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
@@ -346,44 +351,6 @@ def thin_crystal_rates(config: SourceConfig):
         return pref * s * s
 
     return density, rate
-
-
-def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
-    """Thin-crystal waist dependence of the total rate (relative units),
-
-        1 / (Wp^2 Ws^2 Wi^2 (1/Wp^2 + 1/Ws^2 + 1/Wi^2)^2),
-
-    symmetric under any permutation of the three waists.  Each waist may
-    be a scalar or an ndarray.
-    """
-    import numpy as np
-    if min(np.min(waist_wp), np.min(waist_ws), np.min(waist_wi)) <= 0:
-        raise ValidationError("waists must be > 0")
-    wp2, ws2, wi2 = waist_wp ** 2, waist_ws ** 2, waist_wi ** 2
-    s = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
-    return 1.0 / (wp2 * ws2 * wi2 * s * s)
-
-
-def optimal_gamma() -> float:
-    """Pump-to-collection waist ratio maximizing the pair rate, 1/sqrt(2):
-    d/dgamma (1/gamma + 2 gamma)^-2 = 2 (1/gamma^2 - 2) (1/gamma + 2 gamma)^-3
-    vanishes only at gamma^2 = 1/2."""
-    return 1.0 / math.sqrt(2.0)
-
-
-def gamma_sweep(gamma_min: float, gamma_max: float, points: int):
-    """Uniform sweep of the relative rate versus gamma = Wp/W, normalized
-    to a maximum of 1: :func:`waist_scaling` at Wp = gamma W, Ws = Wi = W
-    (the W^-2 scale divides out).  Returns a (points, 2) float array
-    whose columns are gamma and the relative rate."""
-    import numpy as np
-    if not (0 < gamma_min < gamma_max < math.inf):
-        raise ValidationError("require 0 < gamma_min < gamma_max, both finite")
-    if points < 2:
-        raise ValidationError("points must be >= 2")
-    g = np.linspace(gamma_min, gamma_max, points)
-    y = waist_scaling(g, 1.0, 1.0)
-    return np.column_stack((g, y / y.max()))
 
 
 @dataclass(frozen=True)

@@ -342,6 +342,95 @@ assert "numpy" in sys.modules
     assert proc.stderr.splitlines() == ["error VALIDATION: pump.waist must be finite and > 0"]
 
 
+# commands that need no source description, and the modules they must not load
+SOURCE_FREE = ("figures", "spectrum", "sweep-xi", "sweep-gamma")
+SOURCE_MODULES = ("spdcgauss.config", "spdcgauss.materials", "spdcgauss.rates")
+
+
+def test_source_free_commands_load_only_what_they_run(tmp_path):
+    code = f"""
+import sys
+import spdcgauss
+from spdcgauss import cli
+for command in {SOURCE_FREE!r}:
+    assert cli.main([command, "--out", {str(tmp_path)!r} + "/" + command]) == 0
+unwanted = [m for m in {SOURCE_MODULES!r} + ("numpy.polynomial",) if m in sys.modules]
+assert not unwanted, unwanted
+assert cli.main(["rate", "--config", spdcgauss.builtin_config_path(),
+                 "--out", {str(tmp_path / "rate")!r}]) == 0
+missing = [m for m in {SOURCE_MODULES!r} if m not in sys.modules]
+assert not missing, missing
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# every name the package exported before its exports became lazy
+PACKAGE_EXPORTS = (
+    "AngleConvention", "ComputationError", "ConfigurationError", "CrystalSpec",
+    "DegenerateDispersion", "EnergyMismatch", "GaussianMode", "MaterialRecord", "NegativeH",
+    "OutOfRange", "OverlapGeometry", "OverwriteRefused", "ParseError",
+    "PolarizationAssignment", "RateReport", "Role", "SellmeierSet", "SourceConfig",
+    "SpdcGaussError", "UnequalWaists", "UnknownMaterial", "ValidationError",
+    "builtin_config_path", "config", "constants", "errors", "experiment_comparison",
+    "gamma_sweep", "load_config", "load_material_db", "materials", "modes", "optimal_gamma",
+    "rates", "spectral_rate_density", "thin_crystal_rates", "total_rate", "waist_scaling",
+)
+
+
+def test_package_exports_resolve_by_attribute_and_star_import():
+    from spdcgauss import modes, rates
+    namespace = {}
+    exec("from spdcgauss import *", namespace)
+    for name in PACKAGE_EXPORTS:
+        assert namespace[name] is getattr(sg, name), name
+    with pytest.raises(AttributeError):
+        sg.no_such_name
+    for name in ("waist_scaling", "optimal_gamma", "gamma_sweep"):
+        assert getattr(rates, name) is getattr(modes, name)
+
+
+def _csv_by_row_join(header, rows):
+    """The CSV text as one ``",".join`` of ``str`` cells per row."""
+    rows = rows if isinstance(rows, list) else rows.tolist()
+    return "\n".join([",".join(header)] + [",".join(map(str, r)) for r in rows]) + "\n"
+
+
+def test_write_csv_matches_row_join(tmp_path):
+    from spdcgauss.cli import _write_csv
+    tables = [
+        (["a", "b", "c", "d"],
+         [(-0.0, 5e-324, 1e308, 3), ("", "quantity_name", 0.1, -7), (1, 2.5e-17, "", "")]),
+        (["a", "b"], np.array([[-0.0, 5e-324], [1e308, 1.0 / 3.0], [np.pi, -1e-300]])),
+        # an object table keeps an int column beside the floats
+        (["a", "b", "c"],
+         np.column_stack((np.array([[0.5, -0.0], [5e-324, 1e308]]).astype(object),
+                          np.array([0, 1])))),
+        (["a"], []),
+    ]
+    for i, (header, rows) in enumerate(tables):
+        assert _write_csv(str(tmp_path), f"t{i}.csv", header, rows, False) == f"t{i}.csv"
+        with open(tmp_path / f"t{i}.csv", encoding="utf-8", newline="") as fh:
+            assert fh.read() == _csv_by_row_join(header, rows)
+
+
+def test_cli_rate_warns_when_spectrum_frequencies_repeat(tmp_path, capsys):
+    # beyond ~1e12 mm the +-100 delta_phi window is below the float spacing of omega_s
+    cfgp = sg.builtin_config_path()
+    assert main(["rate", "--config", cfgp, "--out", str(tmp_path / "a")]) == 0
+    assert "distinct" not in capsys.readouterr().out
+    out = str(tmp_path / "b")
+    assert main(["rate", "--config", cfgp, "--out", out,
+                 "--set", "crystal.length_mm=1e13"]) == 0
+    _, rows = read_csv(os.path.join(out, "rate_spectrum.csv"))
+    distinct = len({r[0] for r in rows})
+    assert distinct < len(rows)
+    warning = [line for line in capsys.readouterr().out.splitlines() if "distinct" in line]
+    assert len(warning) == 1 and warning[0].startswith("warning: ")
+    assert f" {distinct} " in warning[0] and len(warning[0]) < 200
+
+
 def test_cli_module_run_is_silent(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "spdcgauss.cli", "sweep-gamma",
                            "--out", str(tmp_path)],

@@ -12,6 +12,7 @@ from quadrature_oracle import (
 )
 from spdcgauss.errors import ValidationError
 from spdcgauss.modes import (
+    DELTA_PHI_MAX,
     GaussianMode,
     OverlapGeometry,
     Role,
@@ -282,3 +283,20 @@ def test_phi_z_matches_adaptive_quadrature(xi, span):
                               0.0, 1.0, rel_tol=1e-12, abs_tol=1e-14,
                               initial_intervals=40)
     assert phi_z(xi, 123.4) == pytest.approx(single.value, abs=1e-12)
+
+
+def test_phi_z_at_delta_phi_max_matches_sinc():
+    # one node row here holds ~1e5 doubles, more than a whole cos block
+    dphi = np.array([-DELTA_PHI_MAX, -DELTA_PHI_MAX + 0.5, DELTA_PHI_MAX - 1.25, DELTA_PHI_MAX])
+    assert np.max(np.abs(phi_z(0.0, dphi) - phi_z_thin(dphi))) < 1e-12
+    assert abs(phi_z(0.0, DELTA_PHI_MAX) - phi_z_thin(DELTA_PHI_MAX)) < 1e-12
+
+
+def test_stored_legendre_rule_is_leggauss_32():
+    from numpy.polynomial.legendre import leggauss
+
+    from spdcgauss.modes import _legendre_rule
+    x, w = _legendre_rule()
+    want_x, want_w = leggauss(32)
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(w, want_w)
