@@ -8,13 +8,16 @@ byte-identical files.
 
 A refused input prints one stderr line, ``error LABEL: message``, and
 exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
-The command line is parsed and the source loaded before numpy is imported;
-``config`` and ``rates`` load only for the two commands that take ``--config``.
+The command line is parsed and the source loaded before numpy is imported,
+and only ``rate``, ``spectrum`` and ``figures`` import it: ``compare-experiment``
+reports closed forms, and the two sweeps are float math.  ``config`` and
+``rates`` load only for the two commands that take ``--config``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -29,6 +32,9 @@ FIG_OVERLAP_XIS = (0.0, 0.5, 1.0, 2.0, 4.0)
 FIG_OVERLAP_RANGE = (-15.0, 15.0, 2001)
 FIG_XI_RANGE = (0.0, 5.0, 251)
 FIG_GAMMA_RANGE = (0.1, 3.0, 581)
+
+# the most points a sweep or spectrum grid may hold
+MAX_POINTS = 10 ** 6
 
 ANGLE_CONVENTIONS = {"internal": "internal_physics", "paper": "paper_external_as_internal"}
 
@@ -79,15 +85,16 @@ def _finish(args, outputs: list, parameters: dict):
 
 def _grid(args, name):
     """``(--NAME-min, --NAME-max, --points)`` of a uniform grid; a
-    non-finite bound, an empty range or < 2 points is invalid input."""
+    non-finite bound, an empty range, < 2 points or more than MAX_POINTS
+    is invalid input."""
     lo, hi = getattr(args, name + "_min"), getattr(args, name + "_max")
     for flag, value in ((f"--{name}-min", lo), (f"--{name}-max", hi)):
         if not math.isfinite(value):
             raise ValidationError(f"{flag} must be a finite number")
     if not lo < hi:
         raise ValidationError(f"require --{name}-min < --{name}-max")
-    if args.points < 2:
-        raise ValidationError("--points must be >= 2")
+    if not 2 <= args.points <= MAX_POINTS:
+        raise ValidationError(f"--points must lie in [2, {MAX_POINTS}]")
     return lo, hi, args.points
 
 
@@ -100,23 +107,20 @@ def _xi_list(text):
 
 def _overlap_rows(xis, lo, hi, points):
     import numpy as np
-    grid = np.linspace(lo, hi, points)
+    grid = np.array(modes.uniform_grid(lo, hi, points))
     phi = np.concatenate([modes.phi_z(xi, grid) for xi in xis])
     return np.column_stack((np.repeat(xis, grid.size), np.tile(grid, len(xis)), phi))
 
 
 def _xi_rows(lo, hi, points):
-    import numpy as np
-    grid = np.linspace(lo, hi, points)
-    return np.column_stack((grid, modes.spectral_integral_S(grid)))
+    return [(xi, modes.spectral_integral_S(xi)) for xi in modes.uniform_grid(lo, hi, points)]
 
 
 def _gamma_rows(lo, hi, points):
-    import numpy as np
     sweep = modes.gamma_sweep(lo, hi, points)
-    is_max = np.arange(points) == np.argmax(sweep[:, 1])
-    # object dtype keeps is_max an int cell (0/1) beside the float columns
-    return np.column_stack((sweep.astype(object), is_max.astype(int)))
+    rel = [r for _, r in sweep]
+    top = rel.index(max(rel))  # the first maximum, as numpy's argmax
+    return [(g, r, int(i == top)) for i, (g, r) in enumerate(sweep)]
 
 
 def cmd_rate(args, cfg):
@@ -166,8 +170,7 @@ def cmd_sweep_xi(args):
 def cmd_sweep_gamma(args):
     outputs = [_write_csv(args.out, "sweep_gamma.csv",
                           ["gamma", "relative_rate", "is_max"],
-                          _gamma_rows(args.gamma_min, args.gamma_max, args.points),
-                          args.force)]
+                          _gamma_rows(*_grid(args, "gamma")), args.force)]
     return outputs, {"gamma": [args.gamma_min, args.gamma_max], "points": args.points}
 
 
@@ -197,7 +200,9 @@ def cmd_figures(args):
 
 def cmd_compare_experiment(args, cfg):
     from . import rates
-    rows, report = rates.experiment_comparison(cfg)
+    rates._require_pair_ratio(cfg)  # refused before the rates, as experiment_comparison does
+    report = rates.closed_form_report(cfg)
+    rows = rates.comparison_rows(cfg, report)
     csv_rows = [
         (r.quantity, r.model,
          "" if r.reference is None else r.reference,
@@ -231,9 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Photon-pair rates for SPDC into single Gaussian modes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, source=False):
+    def command(name, run, summary, source=False, arrays=False):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, arrays=arrays)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
@@ -246,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="shortcut for the angle_convention config field")
         return p
 
-    command("rate", cmd_rate, "total rate report for a config", source=True)
-    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves")
+    command("rate", cmd_rate, "total rate report for a config", source=True, arrays=True)
+    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves", arrays=True)
     p.add_argument("--xi", help="comma-separated walk-off values "
                                "(default 0,0.5,1,2,4)")
     p.add_argument("--dphi-min", type=float, default=FIG_OVERLAP_RANGE[0])
@@ -261,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-min", type=float, default=FIG_GAMMA_RANGE[0])
     p.add_argument("--gamma-max", type=float, default=FIG_GAMMA_RANGE[1])
     p.add_argument("--points", type=int, default=FIG_GAMMA_RANGE[2])
-    command("figures", cmd_figures, "regenerate all figure datasets")
+    command("figures", cmd_figures, "regenerate all figure datasets", arrays=True)
     command("compare-experiment", cmd_compare_experiment,
             "model vs reference values for a config", source=True)
     return parser
@@ -275,9 +280,12 @@ def main(argv=None) -> int:
         if "config" in args:
             from .config import load_config
             sources = [load_config(args.config, args.material_db, _overrides(args))]
-        import numpy as np  # only now: a refused command line or source never loads it
-        # an overflow or invalid operation raises instead of warning on stderr
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        guard = contextlib.nullcontext()
+        if args.arrays:  # only now: a refused command line or source never loads numpy
+            import numpy as np
+            # an overflow or invalid operation raises instead of warning on stderr
+            guard = np.errstate(over="raise", divide="raise", invalid="raise")
+        with guard:
             _finish(args, *args.run(args, *sources))
         return 0
     except SpdcGaussError as exc:

@@ -240,8 +240,10 @@ def delta_k_z(n_s, n_i, n_p, omega_s, omega_i, omega_p, theta_s, theta_i):
     = w_p throughout.  Only delta_k_z^2 enters the emission model, so the
     overall sign convention is immaterial downstream.
     """
-    import numpy as np
-    mismatch = np.max(np.abs(omega_p - omega_s - omega_i))
+    mismatch = abs(omega_p - omega_s - omega_i)
+    if not isinstance(mismatch, float):  # arrays of frequencies
+        import numpy as np
+        mismatch = np.max(mismatch)
     if mismatch > 1e-12 * omega_p:
         raise EnergyMismatch(f"|omega_p - omega_s - omega_i| = {mismatch:.6e} rad/s")
     return (n_s * omega_s * math.cos(theta_s)

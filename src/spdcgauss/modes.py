@@ -20,7 +20,8 @@ function over [0, 1] on a composite Gauss-Legendre rule whose panel
 count follows the largest phase and the Gaussian decay; the spectral
 integral S(Xi) = int |Phi_z/l|^2 d(dphi) is evaluated in closed form
 through Plancherel's identity.  The waist-ratio curve (through A) lives
-here too; numpy loads inside array functions, and never numpy.polynomial.
+here too.  numpy loads inside array functions, and never numpy.polynomial;
+S of a scalar, the waist-ratio curve and its grid are plain float math.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "spectral_integral_S",
     "waist_scaling",
     "optimal_gamma",
+    "uniform_grid",
     "gamma_sweep",
 ]
 
@@ -322,18 +324,22 @@ def spectral_integral_S(xi):
               = pi^{3/2} erf(sqrt2 Xi) / (2 sqrt2 Xi),
 
     with S = pi (the thin-crystal anchor) for Xi < 1e-8.  S decreases
-    monotonically with Xi.  ``xi`` may be a scalar or an ndarray.
+    monotonically with Xi.  ``xi`` may be a scalar, which returns a float
+    without loading numpy, or an ndarray.
     """
-    import numpy as np
-    arr = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr >= 0)):
+    if not isinstance(xi, (int, float)):
+        import numpy as np
+        arr = np.asarray(xi, dtype=float)
+        if arr.ndim:
+            return np.array([spectral_integral_S(x) for x in arr.ravel().tolist()]
+                            ).reshape(arr.shape)
+        xi = float(arr)
+    if not 0 <= xi < math.inf:
         raise ValidationError("Xi must be finite and >= 0")
+    if xi < 1e-8:
+        return math.pi
     r2 = math.sqrt(2.0)
-    vals = [math.pi if x < 1e-8 else math.pi ** 1.5 * math.erf(r2 * x) / (2.0 * r2 * x)
-            for x in arr.ravel().tolist()]
-    if arr.ndim == 0:
-        return vals[0]
-    return np.array(vals).reshape(arr.shape)
+    return math.pi ** 1.5 * math.erf(r2 * xi) / (2.0 * r2 * xi)
 
 
 def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
@@ -342,15 +348,19 @@ def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
         1 / (Wp^2 Ws^2 Wi^2 A^2),  A = 1/Wp^2 + 1/Ws^2 + 1/Wi^2
 
     with A the overlap coefficient of :func:`geometry_coefficients`;
-    symmetric under any permutation of the three waists.  Each waist may
-    be a scalar or an ndarray.
+    symmetric under any permutation of the three waists, which are
+    scalars.  A product or quotient beyond the float range raises an
+    ``ArithmeticError``.
     """
-    import numpy as np
-    if min(np.min(waist_wp), np.min(waist_ws), np.min(waist_wi)) <= 0:
+    if min(waist_wp, waist_ws, waist_wi) <= 0:
         raise ValidationError("waists must be > 0")
-    wp2, ws2, wi2 = waist_wp ** 2, waist_ws ** 2, waist_wi ** 2
+    wp2, ws2, wi2 = waist_wp * waist_wp, waist_ws * waist_ws, waist_wi * waist_wi
     s = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
-    return 1.0 / (wp2 * ws2 * wi2 * s * s)
+    rate = 1.0 / (wp2 * ws2 * wi2 * s * s)
+    if rate == 0.0:  # only an intermediate that overflowed to inf gives 0
+        raise OverflowError(f"waist_scaling({waist_wp!r}, {waist_ws!r}, {waist_wi!r}) "
+                            "leaves the float range")
+    return rate
 
 
 def optimal_gamma() -> float:
@@ -360,16 +370,31 @@ def optimal_gamma() -> float:
     return 1.0 / math.sqrt(2.0)
 
 
-def gamma_sweep(gamma_min: float, gamma_max: float, points: int):
+def uniform_grid(lo: float, hi: float, points: int) -> list:
+    """``points`` >= 2 evenly spaced floats from ``lo`` to ``hi``, bit-equal
+    to ``numpy.linspace(lo, hi, points)``: ``i*step + lo`` with the last
+    point ``hi``.  A range whose spacing leaves the float range raises
+    ``OverflowError``, where numpy would overflow under ``np.errstate``."""
+    div = points - 1
+    delta = hi - lo
+    step = delta / div
+    if not math.isfinite(div * step + lo):  # numpy computes this point, then sets it to hi
+        raise OverflowError(f"the grid spacing of [{lo!r}, {hi!r}] leaves the float range")
+    if step == 0.0:  # a spacing below the smallest subnormal: numpy divides first
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
+def gamma_sweep(gamma_min: float, gamma_max: float, points: int) -> list:
     """Uniform sweep of the relative rate versus gamma = Wp/W, normalized
     to a maximum of 1: :func:`waist_scaling` at Wp = gamma W, Ws = Wi = W
-    (the W^-2 scale divides out).  Returns a (points, 2) float array
-    whose columns are gamma and the relative rate."""
-    import numpy as np
+    (the W^-2 scale divides out).  Returns a list of ``points``
+    ``[gamma, relative_rate]`` rows on :func:`uniform_grid`."""
     if not (0 < gamma_min < gamma_max < math.inf):
         raise ValidationError("require 0 < gamma_min < gamma_max, both finite")
     if points < 2:
         raise ValidationError("points must be >= 2")
-    g = np.linspace(gamma_min, gamma_max, points)
-    y = waist_scaling(g, 1.0, 1.0)
-    return np.column_stack((g, y / y.max()))
+    gammas = uniform_grid(gamma_min, gamma_max, points)
+    rates = [waist_scaling(g, 1.0, 1.0) for g in gammas]
+    top = max(rates)
+    return [[g, r / top] for g, r in zip(gammas, rates)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import materials, modes
@@ -33,11 +33,13 @@ __all__ = [
     "pump_amplitude_sq",
     "delta_phi_grid",
     "spectral_rate_density",
+    "closed_form_report",
     "total_rate",
     "thin_crystal_rates",
     "waist_scaling",
     "optimal_gamma",
     "gamma_sweep",
+    "comparison_rows",
     "experiment_comparison",
 ]
 
@@ -119,7 +121,8 @@ class RateReport:
 
     R_T and R_T_thin are pairs/s into the two collection modes;
     spectral_samples is a (SPECTRAL_POINTS, 2) float array whose columns
-    are omega_s [rad/s] and dR/domega_s [pairs s/rad /s];
+    are omega_s [rad/s] and dR/domega_s [pairs s/rad /s] from
+    :func:`total_rate`, and None from :func:`closed_form_report`;
     efficiency_per_mm is pairs per pump photon per mm of crystal,
     R_T * hbar*omega_p / (P * l_mm).
     """
@@ -128,7 +131,7 @@ class RateReport:
     S: float
     R_T: float
     R_T_thin: float | None
-    spectral_samples: np.ndarray
+    spectral_samples: np.ndarray | None
     efficiency_per_mm: float
     efficiency_per_mm_sr: float | None
     warnings: list
@@ -199,22 +202,29 @@ def spectral_rate_density(config: SourceConfig, omega_s: float) -> float:
     return float(_spectral_density_grid(config, [omega_s])[0])
 
 
-def _default_sample_grid(config: SourceConfig, disp: float) -> np.ndarray:
-    """omega_s grid covering delta_phi in [-SPECTRAL_SPAN_DPHI,
-    SPECTRAL_SPAN_DPHI] about the phase-matched point (the spectral
-    weight |Phi_z|^2 lives there); ``disp`` is the dispersion factor,
-    so d(delta_phi)/d(omega_s) = -disp l/2."""
-    import numpy as np
+def _sample_range(config: SourceConfig, disp: float):
+    """``(lo, hi)``, the first and last signal frequency of the sampled
+    spectrum: delta_phi in [-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI] about
+    the phase-matched point (the spectral weight |Phi_z|^2 lives there),
+    clipped to [1e-6, 1 - 1e-6] omega_p; ``disp`` is the dispersion factor,
+    so d(delta_phi)/d(omega_s) = -disp l/2.  Refuses a crystal so short
+    that this slope underflows, a range beyond the float range, and a
+    range outside (0, omega_p): a source phase-matched far from degeneracy.
+    """
     omega_p = config.pump.omega
     l = config.crystal.length_l
     slope = -disp * l / 2.0
-    if slope == 0.0:  # total_rate refuses a vanishing bracket, so l underflowed
+    if slope == 0.0:  # a vanishing disp is refused before, so l underflowed
         raise ValidationError(f"crystal.length {l:g} m is too short to sample the spectrum")
     center = omega_p / 2.0 - delta_phi_grid(config, omega_p / 2) / slope
     half = SPECTRAL_SPAN_DPHI / abs(slope)
     lo = max(center - half, 1e-6 * omega_p)
     hi = min(center + half, (1 - 1e-6) * omega_p)
-    return np.linspace(lo, hi, SPECTRAL_POINTS)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise OverflowError(f"the sampled signal frequencies [{lo}, {hi}] leave the float range")
+    if lo >= omega_p or hi <= 0.0:  # the grid runs from lo to hi
+        raise ValidationError("omega_s must lie strictly inside (0, omega_p)")
+    return lo, hi
 
 
 def _pair_rate(config: SourceConfig, S: float, angular: float, dn: float) -> float:
@@ -257,8 +267,15 @@ def _efficiencies(config: SourceConfig, rate: float):
     return eff_mm, eff_mm / config.collection_solid_angle_sr
 
 
-def total_rate(config: SourceConfig) -> RateReport:
-    """Total pair rate for the matched non-collinear geometry,
+def _dispersion(config: SourceConfig) -> float:
+    return dispersion_factor(config.signal.n, config.idler.n,
+                             config.signal.theta, config.idler.theta)
+
+
+def closed_form_report(config: SourceConfig) -> RateReport:
+    """The closed forms of :func:`total_rate`, without loading numpy: a
+    :class:`RateReport` whose ``spectral_samples`` is None.  The total
+    pair rate for the matched non-collinear geometry is
 
         R_T = 4 d^2 P l w_p^2 S(Xi)
               / (3 pi n_p n_s n_i eps0 c^2 (pi Wp^2)
@@ -266,9 +283,9 @@ def total_rate(config: SourceConfig) -> RateReport:
 
     valid for equal waists, matched target angles and degenerate
     operation (omega_s omega_i is approximated by omega_p^2/4, as in the
-    derivation of the closed form).
+    derivation of the closed form).  It refuses the sources whose
+    spectrum :func:`total_rate` cannot sample.
     """
-    import numpy as np
     warnings: list[str] = []
     _require_equal_waists(config)
     ths, thi = config.signal.theta, config.idler.theta
@@ -292,7 +309,7 @@ def total_rate(config: SourceConfig) -> RateReport:
     geom = geometry_coefficients(config.pump, config.signal, config.idler,
                                  config.crystal.length_l)
     S = spectral_integral_S(geom.Xi)
-    disp = dispersion_factor(config.signal.n, config.idler.n, ths, thi)
+    disp = _dispersion(config)
     if disp < 0:
         warnings.append(
             "(n_i cos th_i - n_s cos th_s) is negative; the rate uses its "
@@ -302,17 +319,29 @@ def total_rate(config: SourceConfig) -> RateReport:
     r_t = _pair_rate(config, S, angular, abs(disp) * C_LIGHT)
     # at theta = 0, S = pi and the angular factor is 3: R_T is the thin rate
     r_thin = r_t if ths == 0.0 and thi == 0.0 else None
-
-    grid = _default_sample_grid(config, disp)
-    distinct = np.unique(grid).size
-    if distinct < SPECTRAL_POINTS:
-        warnings.append(f"only {distinct} of the {SPECTRAL_POINTS} sampled signal frequencies "
-                        "are distinct: the crystal is too long for the float spacing of omega_s")
-    samples = np.column_stack((grid, _spectral_density_grid(config, grid)))
+    _sample_range(config, disp)  # refuses what total_rate's spectrum cannot sample
     eff_mm, eff_mm_sr = _efficiencies(config, r_t)
     return RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
-                      spectral_samples=samples, efficiency_per_mm=eff_mm,
+                      spectral_samples=None, efficiency_per_mm=eff_mm,
                       efficiency_per_mm_sr=eff_mm_sr, warnings=warnings)
+
+
+def total_rate(config: SourceConfig) -> RateReport:
+    """:func:`closed_form_report` with the sampled spectrum: dR/domega_s
+    at SPECTRAL_POINTS signal frequencies spanning delta_phi in
+    [-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI], in ``spectral_samples``.
+    Warns when the crystal is so long that sampled frequencies repeat.
+    """
+    import numpy as np
+    report = closed_form_report(config)
+    grid = np.linspace(*_sample_range(config, _dispersion(config)), SPECTRAL_POINTS)
+    distinct = 1 + int(np.count_nonzero(np.diff(grid)))  # the grid is monotone
+    if distinct < SPECTRAL_POINTS:
+        report.warnings.append(f"only {distinct} of the {SPECTRAL_POINTS} sampled signal "
+                               "frequencies are distinct: the crystal is too long for the "
+                               "float spacing of omega_s")
+    samples = np.column_stack((grid, _spectral_density_grid(config, grid)))
+    return replace(report, spectral_samples=samples)
 
 
 def thin_crystal_rates(config: SourceConfig):
@@ -361,13 +390,12 @@ class ComparisonRow:
     rel_deviation: float | None
 
 
-def experiment_comparison(config: SourceConfig):
+def comparison_rows(config: SourceConfig, report: RateReport) -> list:
     """Side-by-side comparison of model outputs with the reference values
-    carried in the config (observed/predicted rates, efficiencies).
-
-    Returns ``(rows, report)`` where ``rows`` is a list of
-    :class:`ComparisonRow` and ``report`` the underlying
-    :class:`RateReport`.
+    carried in the config (observed/predicted rates, efficiencies), as a
+    list of :class:`ComparisonRow`.  ``report`` is the config's
+    :func:`closed_form_report` or :func:`total_rate`; a walk-off warning
+    is appended to its ``warnings``.
 
     The observable rate applies the experiment-specific factors: the
     measured pair-to-singles ratio and the decay-path multiplicity
@@ -377,9 +405,7 @@ def experiment_comparison(config: SourceConfig):
     length and "per mm" is well defined, again with the decay-path
     factor applied.
     """
-    if config.pair_to_singles_ratio is None:
-        raise ValidationError("pair_to_singles_ratio is required for the comparison")
-    report = total_rate(config)
+    _require_pair_ratio(config)
     ratio = config.pair_to_singles_ratio
     paths = config.decay_path_multiplicity
     observable = paths * ratio * report.R_T
@@ -415,4 +441,21 @@ def experiment_comparison(config: SourceConfig):
     if observed is not None:
         rows.append(ComparisonRow("observed_pairs_per_mW_s (experiment)",
                                   observed, None, None))
-    return rows, report
+    return rows
+
+
+def _require_pair_ratio(config: SourceConfig):
+    if config.pair_to_singles_ratio is None:
+        raise ValidationError("pair_to_singles_ratio is required for the comparison")
+
+
+def experiment_comparison(config: SourceConfig):
+    """:func:`comparison_rows` of the config's :func:`total_rate`.
+
+    Returns ``(rows, report)`` where ``rows`` is a list of
+    :class:`ComparisonRow` and ``report`` the underlying
+    :class:`RateReport`, sampled spectrum included.
+    """
+    _require_pair_ratio(config)  # before the rate work
+    report = total_rate(config)
+    return comparison_rows(config, report), report

@@ -366,6 +366,47 @@ assert not missing, missing
     assert proc.returncode == 0, proc.stderr
 
 
+# commands whose results are closed forms or float math, and never load numpy
+NUMPY_FREE = ("compare-experiment", "sweep-gamma", "sweep-xi")
+
+
+def test_closed_form_commands_never_load_numpy(tmp_path):
+    code = f"""
+import sys
+import spdcgauss
+from spdcgauss import cli
+cfg_path = spdcgauss.builtin_config_path()
+for command in {NUMPY_FREE!r}:
+    source = ["--config", cfg_path] if command == "compare-experiment" else []
+    assert cli.main([command, *source, "--out", {str(tmp_path)!r} + "/" + command]) == 0
+assert "numpy" not in sys.modules, "numpy loaded by a closed-form command"
+assert cli.main(["rate", "--config", cfg_path, "--out", {str(tmp_path / "rate")!r}]) == 0
+assert "numpy" in sys.modules and "numpy.ma" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep-xi", "sweep-gamma"])
+def test_cli_points_above_the_bound_refused(tmp_path, capsys, command):
+    from spdcgauss.cli import MAX_POINTS
+    out = str(tmp_path / "o")
+    assert main([command, "--out", out, "--points", str(MAX_POINTS + 1)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error VALIDATION: --points")
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+def test_cli_compare_refuses_a_source_far_from_phase_matching(tmp_path, capsys):
+    # rate refuses to sample this spectrum; the closed-form comparison refuses it too
+    for command in ("rate", "compare-experiment"):
+        assert main([command, "--config", sg.builtin_config_path(), "--out", str(tmp_path),
+                     "--set", "crystal.theta_c_deg=30"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error VALIDATION: omega_s must lie strictly inside (0, omega_p)"]
+
+
 # every name the package exported before its exports became lazy
 PACKAGE_EXPORTS = (
     "AngleConvention", "ComputationError", "ConfigurationError", "CrystalSpec",

@@ -25,6 +25,7 @@ from spdcgauss.modes import (
     phi_z_thick,
     phi_z_thin,
     spectral_integral_S,
+    uniform_grid,
 )
 from spdcgauss.modes import phi_z_thin as sinc
 
@@ -300,3 +301,21 @@ def test_stored_legendre_rule_is_leggauss_32():
     want_x, want_w = leggauss(32)
     assert np.array_equal(x, want_x)
     assert np.array_equal(w, want_w)
+
+
+@pytest.mark.parametrize("lo, hi, points", [
+    (0.0, 5.0, 251), (0.1, 3.0, 581), (-15.0, 15.0, 2001), (-0.0, 1.0, 2), (0.3, 0.7, 777),
+    (-1e5, 1e5, 5), (1e300, 1.7976931348623157e308, 9), (-8e307, 8e307, 3),
+    (0.0, 1e-320, 1000), (0.0, 5e-324, 3), (-5e-324, 5e-324, 7), (1.0, 1.0 + 2e-16, 10),
+])
+def test_uniform_grid_is_bit_equal_to_linspace(lo, hi, points):
+    assert uniform_grid(lo, hi, points) == np.linspace(lo, hi, points).tolist()
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e300, 1.7976931348623157e308),
+                                    (-1.7976931348623157e308, 1.7976931348623157e308)])
+def test_uniform_grid_overflows_where_linspace_does(lo, hi):
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        np.linspace(lo, hi, 5)
+    with pytest.raises(OverflowError):
+        uniform_grid(lo, hi, 5)

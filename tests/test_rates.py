@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import spdcgauss as sg
 from conftest import make_config
 from spdcgauss.constants import C_LIGHT, HBAR
 from spdcgauss.errors import DegenerateDispersion, UnequalWaists, ValidationError
 from spdcgauss.rates import (
     SPECTRAL_POINTS,
+    closed_form_report,
+    comparison_rows,
     experiment_comparison,
     gamma_sweep,
     optimal_gamma,
@@ -196,7 +199,7 @@ def test_optimal_gamma():
 
 def test_gamma_sweep_shape():
     sweep = gamma_sweep(0.1, 3.0, 581)
-    assert sweep.shape == (581, 2)
+    assert np.shape(sweep) == (581, 2)
     gammas, values = np.array(sweep).T
     assert values.max() == 1.0
     idx_max = int(np.argmax(values))
@@ -232,3 +235,39 @@ def test_experiment_comparison_requires_ratio():
     cfg = dataclasses.replace(make_config(), pair_to_singles_ratio=None)
     with pytest.raises(ValidationError):
         experiment_comparison(cfg)
+
+
+# the shipped source, collinear, Snell-refracted, and so long that sampled frequencies repeat
+COMPARED_SOURCES = ([], ["collection.external_angle_deg=0"], ["angle_convention=internal_physics"],
+                    ["crystal.length_mm=1e13"])
+
+
+@pytest.mark.parametrize("overrides", COMPARED_SOURCES)
+def test_closed_form_comparison_matches_experiment_comparison(overrides):
+    cfg = sg.load_config(sg.builtin_config_path(), overrides=overrides)
+    rows, report = experiment_comparison(cfg)
+    closed = closed_form_report(cfg)
+    assert comparison_rows(cfg, closed) == rows
+    assert closed.spectral_samples is None
+    assert report.spectral_samples.shape == (SPECTRAL_POINTS, 2)
+    assert dataclasses.replace(report, spectral_samples=None, warnings=[]) == \
+        dataclasses.replace(closed, warnings=[])
+    # the sampled spectrum adds only its repeated-frequency warning
+    assert [w for w in report.warnings if "distinct" not in w] == closed.warnings
+
+
+def test_gamma_sweep_matches_array_formula():
+    # the array evaluation it replaced, waist_scaling(g, 1.0, 1.0) operation by operation
+    g = np.linspace(0.1, 3.0, 581)
+    wp2 = g ** 2
+    s = 1.0 / wp2 + 1.0 + 1.0
+    y = 1.0 / (wp2 * 1.0 * 1.0 * s * s)
+    assert gamma_sweep(0.1, 3.0, 581) == np.column_stack((g, y / y.max())).tolist()
+
+
+def test_waist_scaling_beyond_float_range_raises():
+    for waists in ((1e-160, 1.0, 1.0), (1e200, 1.0, 1.0)):
+        with pytest.raises(OverflowError):
+            waist_scaling(*waists)
+    with pytest.raises(ZeroDivisionError):
+        waist_scaling(1e-300, 1.0, 1.0)
