@@ -24,7 +24,7 @@ def parseval(xi):
 
 
 xis = np.linspace(0.0, 5.0, 41)
-S = spectral_integral_S(xis)
+S = np.array([spectral_integral_S(float(x)) for x in xis])
 
 print(f"S(0)     = {S[0]:.8f}   (pi = {np.pi:.8f})")
 print(f"S(0.933) = {spectral_integral_S(0.933):.6f}   "

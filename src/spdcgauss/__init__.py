@@ -16,8 +16,7 @@ _LAZY = {
     "modes": ("GaussianMode", "OverlapGeometry", "Role",
               "gamma_sweep", "optimal_gamma", "waist_scaling"),
     "rates": ("AngleConvention", "PolarizationAssignment", "RateReport", "SourceConfig",
-              "closed_form_report", "comparison_rows", "experiment_comparison",
-              "spectral_rate_density", "thin_crystal_rates", "total_rate"),
+              "closed_form_report", "comparison_rows", "experiment_comparison", "total_rate"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -33,10 +33,8 @@ FIG_OVERLAP_RANGE = (-15.0, 15.0, 2001)
 FIG_XI_RANGE = (0.0, 5.0, 251)
 FIG_GAMMA_RANGE = (0.1, 3.0, 581)
 
-# the most points a sweep or spectrum grid may hold
+# the most points a sweep grid or a spectrum table may hold
 MAX_POINTS = 10 ** 6
-
-ANGLE_CONVENTIONS = {"internal": "internal_physics", "paper": "paper_external_as_internal"}
 
 
 def _checked_path(out_dir: str, name: str, force: bool) -> str:
@@ -65,18 +63,9 @@ def _write_json(out_dir, name, payload, force) -> str:
     return name
 
 
-def _overrides(args) -> list:
-    """The config overrides in the order applied: every ``--set``, then
-    ``--angle-convention`` as the field it sets."""
-    items = list(getattr(args, "set", None) or [])
-    if getattr(args, "angle_convention", None):
-        items.append(f"angle_convention={ANGLE_CONVENTIONS[args.angle_convention]}")
-    return items
-
-
 def _finish(args, outputs: list, parameters: dict):
     manifest = {"command": args.command, "config_path": getattr(args, "config", None),
-                "output_dir": args.out, "overrides": _overrides(args),
+                "output_dir": args.out, "overrides": getattr(args, "set", None) or [],
                 "outputs": outputs, "parameters": parameters}
     outputs = outputs + [_write_json(args.out, "run_manifest.json", manifest, args.force)]
     for name in outputs:
@@ -153,9 +142,12 @@ def cmd_rate(args, cfg):
 
 def cmd_spectrum(args):
     xis = _xi_list(args.xi) if args.xi is not None else FIG_OVERLAP_XIS
+    grid = _grid(args, "dphi")
+    if len(xis) * args.points > MAX_POINTS:  # refused before any array is built
+        raise ValidationError(f"--xi values x --points must not exceed {MAX_POINTS} rows")
     outputs = [_write_csv(args.out, "spectrum_overlap.csv",
                           ["xi", "delta_phi", "phi_z_over_l"],
-                          _overlap_rows(xis, *_grid(args, "dphi")), args.force)]
+                          _overlap_rows(xis, *grid), args.force)]
     return outputs, {"xi_list": list(xis), "delta_phi": [args.dphi_min, args.dphi_max],
                      "points": args.points}
 
@@ -247,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override a config field (dotted path)")
             p.add_argument("--material-db", help="alternative material database JSON")
-            p.add_argument("--angle-convention", choices=sorted(ANGLE_CONVENTIONS),
-                           help="shortcut for the angle_convention config field")
         return p
 
     command("rate", cmd_rate, "total rate report for a config", source=True, arrays=True)
@@ -279,7 +269,7 @@ def main(argv=None) -> int:
         sources = []
         if "config" in args:
             from .config import load_config
-            sources = [load_config(args.config, args.material_db, _overrides(args))]
+            sources = [load_config(args.config, args.material_db, args.set)]
         guard = contextlib.nullcontext()
         if args.arrays:  # only now: a refused command line or source never loads numpy
             import numpy as np

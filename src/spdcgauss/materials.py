@@ -21,7 +21,6 @@ from .errors import (
     EnergyMismatch,
     OutOfRange,
     ParseError,
-    UnknownMaterial,
     ValidationError,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "index_extraordinary",
     "effective_nonlinearity_bbo",
     "internal_angle",
-    "external_angle",
     "delta_k_z",
     "dispersion_factor",
 ]
@@ -220,14 +218,6 @@ def internal_angle(theta_external: float, n_inside: float) -> float:
     if n_inside < 1.0:
         raise ValidationError("n_inside must be >= 1")
     return math.asin(math.sin(theta_external) / n_inside)
-
-
-def external_angle(theta_internal: float, n_inside: float) -> float:
-    """Inverse of :func:`internal_angle`."""
-    s = n_inside * math.sin(theta_internal)
-    if s > 1.0:
-        raise ValidationError("internal angle beyond total internal reflection")
-    return math.asin(s)
 
 
 def delta_k_z(n_s, n_i, n_p, omega_s, omega_i, omega_p, theta_s, theta_i):

@@ -21,7 +21,7 @@ count follows the largest phase and the Gaussian decay; the spectral
 integral S(Xi) = int |Phi_z/l|^2 d(dphi) is evaluated in closed form
 through Plancherel's identity.  The waist-ratio curve (through A) lives
 here too.  numpy loads inside array functions, and never numpy.polynomial;
-S of a scalar, the waist-ratio curve and its grid are plain float math.
+S, the waist-ratio curve and its grid take scalars and are plain float math.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "GaussianMode",
     "OverlapGeometry",
     "normalization_alpha",
-    "confinement_correction",
     "geometry_coefficients",
     "phi_z",
     "phi_z_thin",
@@ -143,19 +142,6 @@ def normalization_alpha(waist_w: float) -> float:
     if not waist_w > 0:
         raise ValidationError("waist must be > 0")
     return math.sqrt(2.0 / (math.pi * waist_w * waist_w))
-
-
-def confinement_correction(waist_w: float, lambda_vac: float, n: float) -> float:
-    """Relative frequency shift sqrt(1 + 2/(k W)^2) - 1 caused by the
-    transverse confinement of the mode, with k = 2 pi n / lambda.
-
-    Diagnostic only: for practical waists (~100 wavelengths) this is
-    below 1e-5 and is neglected everywhere in the rate model.
-    """
-    if not (waist_w > 0 and lambda_vac > 0):
-        raise ValidationError("waist and wavelength must be > 0")
-    k = 2.0 * math.pi * n / lambda_vac
-    return math.sqrt(1.0 + 2.0 / (k * k * waist_w * waist_w)) - 1.0
 
 
 def geometry_coefficients(
@@ -313,7 +299,7 @@ def overlap_phi(
     return transverse * crystal_length_l * phi_z(geom.Xi, dphi)
 
 
-def spectral_integral_S(xi):
+def spectral_integral_S(xi: float) -> float:
     """Spectral integral S(Xi) = int |Phi_z/l|^2 d(delta_phi) over the
     whole real line.
 
@@ -324,16 +310,8 @@ def spectral_integral_S(xi):
               = pi^{3/2} erf(sqrt2 Xi) / (2 sqrt2 Xi),
 
     with S = pi (the thin-crystal anchor) for Xi < 1e-8.  S decreases
-    monotonically with Xi.  ``xi`` may be a scalar, which returns a float
-    without loading numpy, or an ndarray.
+    monotonically with Xi.  ``xi`` is a scalar; plain float math, no numpy.
     """
-    if not isinstance(xi, (int, float)):
-        import numpy as np
-        arr = np.asarray(xi, dtype=float)
-        if arr.ndim:
-            return np.array([spectral_integral_S(x) for x in arr.ravel().tolist()]
-                            ).reshape(arr.shape)
-        xi = float(arr)
     if not 0 <= xi < math.inf:
         raise ValidationError("Xi must be finite and >= 0")
     if xi < 1e-8:

@@ -1,6 +1,6 @@
 """Absolute emission rates: pump amplitude from power, spectral density,
-total pair rate for matched non-collinear geometry, thin-crystal closed
-forms and efficiency figures (the waist-ratio functions come from :mod:`modes`).
+total pair rate for matched non-collinear geometry (with the thin-crystal
+rate as its collinear value) and efficiency figures.
 
 Everything is evaluated at fixed nominal refractive indices (taken at
 the pump and degenerate daughter wavelengths) -- the indices sit outside
@@ -19,8 +19,7 @@ from . import materials, modes
 from .constants import C_LIGHT, EPSILON_0, HBAR
 from .errors import ComputationError, UnequalWaists, ValidationError
 from .materials import CrystalSpec, dispersion_factor, effective_nonlinearity_bbo
-from .modes import (GaussianMode, gamma_sweep, geometry_coefficients, optimal_gamma,
-                    spectral_integral_S, waist_scaling)
+from .modes import GaussianMode, geometry_coefficients, spectral_integral_S
 if TYPE_CHECKING:
     import numpy as np
 
@@ -32,13 +31,8 @@ __all__ = [
     "ComparisonRow",
     "pump_amplitude_sq",
     "delta_phi_grid",
-    "spectral_rate_density",
     "closed_form_report",
     "total_rate",
-    "thin_crystal_rates",
-    "waist_scaling",
-    "optimal_gamma",
-    "gamma_sweep",
     "comparison_rows",
     "experiment_comparison",
 ]
@@ -119,7 +113,8 @@ class SourceConfig:
 class RateReport:
     """Computed quantities with units.
 
-    R_T and R_T_thin are pairs/s into the two collection modes;
+    R_T and R_T_thin are pairs/s into the two collection modes (R_T_thin,
+    the thin-crystal rate, only for collinear collection);
     spectral_samples is a (SPECTRAL_POINTS, 2) float array whose columns
     are omega_s [rad/s] and dR/domega_s [pairs s/rad /s] from
     :func:`total_rate`, and None from :func:`closed_form_report`;
@@ -179,7 +174,14 @@ def delta_phi_grid(config: SourceConfig, omega_s):
 
 
 def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
-    """Vectorised dR/domega_s over an array of signal frequencies."""
+    """Pair rate per unit signal angular frequency over an array of
+    signal frequencies (rad/s),
+
+        dR/domega_s = [d a_s a_i E_p0 Phi / c]^2 * omega_s omega_i / (2 pi n_s n_i)
+
+    with Phi evaluated at delta_k_y = 0 (perfect transverse phase
+    matching) and the exact omega_s * omega_i product.
+    """
     import numpy as np
     omega_s = np.asarray(omega_s, dtype=float)
     omega_p = config.pump.omega
@@ -189,17 +191,6 @@ def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
     geom = geometry_coefficients(config.pump, config.signal, config.idler, l)
     phi = modes.overlap_phi(geom, 0.0, _delta_k_z(config, omega_s), l)
     return _density_prefactor(config) * omega_s * (omega_p - omega_s) * phi * phi
-
-
-def spectral_rate_density(config: SourceConfig, omega_s: float) -> float:
-    """Pair rate per unit signal angular frequency at ``omega_s`` (rad/s),
-
-        dR/domega_s = [d a_s a_i E_p0 Phi / c]^2 * omega_s omega_i / (2 pi n_s n_i)
-
-    with Phi evaluated at delta_k_y = 0 (perfect transverse phase
-    matching) and the exact omega_s * omega_i product.
-    """
-    return float(_spectral_density_grid(config, [omega_s])[0])
 
 
 def _sample_range(config: SourceConfig, disp: float):
@@ -245,7 +236,10 @@ def _pair_rate(config: SourceConfig, S: float, angular: float, dn: float) -> flo
 
 
 def _thin_rate(config: SourceConfig) -> float:
-    """Thin-crystal total rate: R_T at theta = 0, where S = pi and angular = 3."""
+    """Thin-crystal total rate, R_T at theta = 0 (S = pi, angular factor 3):
+
+        R_T = 4 d^2 P l w_p^2 / (9 n_s n_i n_p eps0 (pi Wp^2) |n_i - n_s| c^2)
+    """
     disp = dispersion_factor(config.signal.n, config.idler.n, 0.0, 0.0)
     return _pair_rate(config, math.pi, 3.0, abs(disp) * C_LIGHT)
 
@@ -342,44 +336,6 @@ def total_rate(config: SourceConfig) -> RateReport:
                                "float spacing of omega_s")
     samples = np.column_stack((grid, _spectral_density_grid(config, grid)))
     return replace(report, spectral_samples=samples)
-
-
-def thin_crystal_rates(config: SourceConfig):
-    """Collinear thin-crystal closed forms.
-
-    Returns ``(density, rate)`` where ``density(omega_s)`` is
-
-        dR/domega_s = 2 d^2 w_p^2 P l^2 sinc^2(delta_k_z l/2)
-                      / (9 pi n_p n_s n_i eps0 c^3 (pi Wp^2))
-
-    and ``rate`` the total
-
-        R_T = 4 d^2 P l w_p^2 / (9 n_s n_i n_p eps0 (pi Wp^2) |n_i - n_s| c^2),
-
-    the general closed form at theta = 0, where S = pi and the angular
-    factor is 3.  Requires collinear type-II operation (theta = 0,
-    n_i != n_s) and equal waists.
-    """
-    _require_equal_waists(config)
-    if config.signal.theta != 0.0 or config.idler.theta != 0.0:
-        raise ValidationError("thin_crystal_rates requires collinear geometry (theta = 0)")
-    n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
-    rate = _thin_rate(config)
-
-    omega_p = config.pump.omega
-    d = config.d_eff
-    P = config.pump_power_p
-    l = config.crystal.length_l
-    wp = config.pump.waist_w
-    area = math.pi * wp * wp
-    pref = (2.0 * d * d * omega_p ** 2 * P * l * l
-            / (9.0 * math.pi * n_p * n_s * n_i * EPSILON_0 * C_LIGHT ** 3 * area))
-
-    def density(omega_s: float) -> float:
-        s = modes.phi_z_thin(delta_phi_grid(config, omega_s))
-        return pref * s * s
-
-    return density, rate
 
 
 @dataclass(frozen=True)

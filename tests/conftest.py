@@ -3,6 +3,7 @@ import math
 import pytest
 
 import spdcgauss as sg
+from spdcgauss.constants import C_LIGHT, EPSILON_0
 from spdcgauss.modes import GaussianMode, Role
 from spdcgauss.rates import AngleConvention, PolarizationAssignment, SourceConfig
 
@@ -61,3 +62,34 @@ def make_config(
 @pytest.fixture()
 def config_factory():
     return make_config
+
+
+def thin_crystal_rates(config):
+    """Oracle: the paper's collinear thin-crystal closed forms, written out
+    from the config's inputs without the library's rate code.
+
+    Returns ``(density, rate)``, where ``density(omega_s)`` is
+
+        dR/domega_s = 2 d^2 w_p^2 P l^2 sinc^2(delta_phi)
+                      / (9 pi n_p n_s n_i eps0 c^3 (pi Wp^2))
+
+    with delta_phi = (n_s w_s + n_i w_i - n_p w_p) l / (2c), w_i = w_p - w_s,
+    and ``rate`` the total
+
+        R_T = 4 d^2 P l w_p^2 / (9 n_s n_i n_p eps0 (pi Wp^2) |n_i - n_s| c^2).
+    """
+    assert config.signal.theta == config.idler.theta == 0.0, "collinear sources only"
+    d, P, l = config.d_eff, config.pump_power_p, config.crystal.length_l
+    n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
+    w_p = config.pump.omega
+    area = math.pi * config.pump.waist_w ** 2
+
+    def density(omega_s):
+        dphi = (n_s * omega_s + n_i * (w_p - omega_s) - n_p * w_p) * l / (2.0 * C_LIGHT)
+        sinc = math.sin(dphi) / dphi if dphi else 1.0
+        return (2.0 * d ** 2 * w_p ** 2 * P * l ** 2 * sinc ** 2
+                / (9.0 * math.pi * n_p * n_s * n_i * EPSILON_0 * C_LIGHT ** 3 * area))
+
+    rate = (4.0 * d ** 2 * P * l * w_p ** 2
+            / (9.0 * n_s * n_i * n_p * EPSILON_0 * area * abs(n_i - n_s) * C_LIGHT ** 2))
+    return density, rate

@@ -16,22 +16,18 @@ import scipy.special
 
 import spdcgauss as sg
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
-from conftest import make_config
+from conftest import make_config, thin_crystal_rates
 from spdcgauss.modes import (
     GaussianMode,
     Role,
     geometry_coefficients,
+    optimal_gamma,
     overlap_phi,
     phi_z,
     spectral_integral_S,
 )
 from spdcgauss.modes import phi_z_thin as sinc
-from spdcgauss.rates import (
-    experiment_comparison,
-    optimal_gamma,
-    thin_crystal_rates,
-    total_rate,
-)
+from spdcgauss.rates import experiment_comparison, total_rate
 
 
 def report(n, text):

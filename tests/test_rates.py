@@ -5,21 +5,18 @@ import numpy as np
 import pytest
 
 import spdcgauss as sg
-from conftest import make_config
+from conftest import make_config, thin_crystal_rates
 from spdcgauss.constants import C_LIGHT, HBAR
 from spdcgauss.errors import DegenerateDispersion, UnequalWaists, ValidationError
+from spdcgauss.modes import gamma_sweep, optimal_gamma, waist_scaling
 from spdcgauss.rates import (
     SPECTRAL_POINTS,
+    _spectral_density_grid,
     closed_form_report,
     comparison_rows,
     experiment_comparison,
-    gamma_sweep,
-    optimal_gamma,
     pump_amplitude_sq,
-    spectral_rate_density,
-    thin_crystal_rates,
     total_rate,
-    waist_scaling,
 )
 
 # frozen from an independent constants-arithmetic script run before the
@@ -83,7 +80,7 @@ def test_unequal_waists_rejected():
     with pytest.raises(UnequalWaists):
         total_rate(bad)
     with pytest.raises(UnequalWaists):
-        thin_crystal_rates(bad)
+        closed_form_report(bad)
 
 
 @pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
@@ -104,9 +101,9 @@ def test_spectral_samples_integrate_to_total():
 def test_spectral_density_positive_domain():
     cfg = make_config()
     with pytest.raises(ValidationError):
-        spectral_rate_density(cfg, -1.0)
+        _spectral_density_grid(cfg, [-1.0])
     with pytest.raises(ValidationError):
-        spectral_rate_density(cfg, cfg.pump.omega)
+        _spectral_density_grid(cfg, [cfg.pump.omega])
 
 
 def test_spectral_density_thin_crystal_consistency():
@@ -116,7 +113,7 @@ def test_spectral_density_thin_crystal_consistency():
     wp = cfg.pump.omega
     for frac in (0.42, 0.47, 0.5 - 1e-4, 0.53):
         ws = frac * wp
-        exact = spectral_rate_density(cfg, ws)
+        exact = _spectral_density_grid(cfg, [ws])[0]
         thin = density(ws)
         expected = ws * (wp - ws) / (wp * wp / 4.0)
         assert exact / thin == pytest.approx(expected, rel=1e-6)
@@ -124,8 +121,11 @@ def test_spectral_density_thin_crystal_consistency():
 
 def test_spectral_density_sinc_zeros_and_peak():
     cfg = make_config(theta_deg=0.0)
-    density, _ = thin_crystal_rates(cfg)
     wp, l = cfg.pump.omega, cfg.crystal.length_l
+
+    def density(omega_s):
+        return _spectral_density_grid(cfg, [omega_s])[0]
+
     slope = (cfg.signal.n - cfg.idler.n) / C_LIGHT * l / 2.0
     dphi_center = (cfg.signal.n + cfg.idler.n - 2 * cfg.pump.n) * wp / (2 * C_LIGHT) * l / 2.0
     w_match = wp / 2.0 - dphi_center / slope  # delta_phi = 0 here
@@ -137,18 +137,19 @@ def test_spectral_density_sinc_zeros_and_peak():
 
 
 def test_thin_crystal_rate_linearity():
-    _, r1 = thin_crystal_rates(make_config(theta_deg=0.0, power_mw=1.0))
-    _, r2 = thin_crystal_rates(make_config(theta_deg=0.0, power_mw=2.0))
-    assert r2 / r1 == pytest.approx(2.0, abs=1e-12)
-    _, r3 = thin_crystal_rates(make_config(theta_deg=0.0, length_mm=4.0))
-    assert r3 / r1 == pytest.approx(2.0, abs=1e-12)
+    def r_thin(**kwargs):
+        return closed_form_report(make_config(theta_deg=0.0, **kwargs)).R_T_thin
+
+    r1 = r_thin(power_mw=1.0)
+    assert r_thin(power_mw=2.0) / r1 == pytest.approx(2.0, abs=1e-12)
+    assert r_thin(length_mm=4.0) / r1 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_thin_crystal_requires_collinear_type_ii():
-    with pytest.raises(ValidationError):
-        thin_crystal_rates(make_config(theta_deg=3.1))
+    assert closed_form_report(make_config(theta_deg=3.1)).R_T_thin is None
+    # collinear type I (n_s = n_i): the dispersion factor vanishes
     with pytest.raises(DegenerateDispersion):
-        thin_crystal_rates(make_config(theta_deg=0.0, n_s=1.62, n_i=1.62))
+        total_rate(make_config(theta_deg=0.0, n_s=1.62, n_i=1.62))
 
 
 def test_collinear_limit_consistency():
@@ -163,8 +164,9 @@ def test_report_populates_thin_rate_when_collinear():
     report = total_rate(make_config(theta_deg=0.0))
     assert report.R_T_thin is not None
     assert report.R_T == report.R_T_thin
-    # the general form at theta = 0 is the thin closed form, bit for bit
-    assert report.R_T_thin == thin_crystal_rates(make_config(theta_deg=0.0))[1]
+    # the general form at theta = 0 is the paper's thin-crystal closed form
+    _, r_thin = thin_crystal_rates(make_config(theta_deg=0.0))
+    assert report.R_T_thin == pytest.approx(r_thin, rel=1e-12)
     assert total_rate(make_config(theta_deg=3.1)).R_T_thin is None
 
 
