@@ -9,15 +9,16 @@ byte-identical files.
 A refused input prints one stderr line, ``error LABEL: message``, and
 exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
 The command line is parsed and the source loaded before numpy is imported,
-and only ``rate``, ``spectrum`` and ``figures`` import it: ``compare-experiment``
-reports closed forms, and the two sweeps are float math.  ``config`` and
-``rates`` load only for the two commands that take ``--config``.
+and only ``rate`` imports it, for its sampled spectrum: ``compare-experiment``
+reports closed forms, and ``figures``, ``spectrum`` and the two sweeps are
+float math (the overlap curves take the closed form of
+:func:`spdcgauss.modes.phi_z_curve`).  ``config`` and ``rates`` load only for
+the two commands that take ``--config``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -45,10 +46,13 @@ def _checked_path(out_dir: str, name: str, force: bool) -> str:
 
 
 def _write_csv(out_dir, name, header, rows, force) -> str:
-    """``rows``: a list of tuples or an (N, k) array; a cell is ``str`` of its Python value."""
+    """``rows``: a list of tuples or an (N, k) array; a cell is ``str`` of its Python
+    value.  A nonzero float is formatted once however often it repeats; zeros and
+    other types are not memoised, since 0.0 == -0.0 and 1 == 1.0 print differently."""
     path = _checked_path(out_dir, name, force)
-    cells = ([cell for row in rows for cell in row] if isinstance(rows, list)
-             else rows.ravel().tolist())
+    memo = {}
+    cells = [(memo[c] if c in memo else memo.setdefault(c, str(c))) if type(c) is float and c
+             else c for row in (rows if isinstance(rows, list) else rows.tolist()) for c in row]
     line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n" + (line * len(rows)) % tuple(cells))
@@ -95,10 +99,12 @@ def _xi_list(text):
 
 
 def _overlap_rows(xis, lo, hi, points):
-    import numpy as np
-    grid = np.array(modes.uniform_grid(lo, hi, points))
-    phi = np.concatenate([modes.phi_z(xi, grid) for xi in xis])
-    return np.column_stack((np.repeat(xis, grid.size), np.tile(grid, len(xis)), phi))
+    grid = modes.uniform_grid(lo, hi, points)
+    rows = []
+    for xi in xis:
+        curve = modes.phi_z_curve(xi)
+        rows += [(xi, d, curve(d)) for d in grid]
+    return rows
 
 
 def _xi_rows(lo, hi, points):
@@ -115,7 +121,11 @@ def _gamma_rows(lo, hi, points):
 def cmd_rate(args, cfg):
     import numpy as np
     from . import rates
-    report = rates.total_rate(cfg)
+    # an overflow or invalid operation raises instead of warning on stderr
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        report = rates.total_rate(cfg)
+        omega = report.spectral_samples[:, 0]
+        spectrum = np.column_stack((report.spectral_samples, rates.delta_phi_grid(cfg, omega)))
     scalar_rows = [
         ("Xi", report.Xi),
         ("S", report.S),
@@ -126,8 +136,6 @@ def cmd_rate(args, cfg):
          "" if report.efficiency_per_mm_sr is None else report.efficiency_per_mm_sr),
         ("pump_power_W", cfg.pump_power_p),
     ]
-    omega = report.spectral_samples[:, 0]
-    spectrum = np.column_stack((report.spectral_samples, rates.delta_phi_grid(cfg, omega)))
     outputs = [_write_csv(args.out, "rate_report.csv", ["quantity", "value"],
                           scalar_rows, args.force),
                _write_csv(args.out, "rate_spectrum.csv",
@@ -143,7 +151,7 @@ def cmd_rate(args, cfg):
 def cmd_spectrum(args):
     xis = _xi_list(args.xi) if args.xi is not None else FIG_OVERLAP_XIS
     grid = _grid(args, "dphi")
-    if len(xis) * args.points > MAX_POINTS:  # refused before any array is built
+    if len(xis) * args.points > MAX_POINTS:  # refused before any row is built
         raise ValidationError(f"--xi values x --points must not exceed {MAX_POINTS} rows")
     outputs = [_write_csv(args.out, "spectrum_overlap.csv",
                           ["xi", "delta_phi", "phi_z_over_l"],
@@ -228,9 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Photon-pair rates for SPDC into single Gaussian modes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, source=False, arrays=False):
+    def command(name, run, summary, source=False):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run, arrays=arrays)
+        p.set_defaults(run=run)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
@@ -241,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--material-db", help="alternative material database JSON")
         return p
 
-    command("rate", cmd_rate, "total rate report for a config", source=True, arrays=True)
-    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves", arrays=True)
+    command("rate", cmd_rate, "total rate report for a config", source=True)
+    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves")
     p.add_argument("--xi", help="comma-separated walk-off values "
                                "(default 0,0.5,1,2,4)")
     p.add_argument("--dphi-min", type=float, default=FIG_OVERLAP_RANGE[0])
@@ -256,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-min", type=float, default=FIG_GAMMA_RANGE[0])
     p.add_argument("--gamma-max", type=float, default=FIG_GAMMA_RANGE[1])
     p.add_argument("--points", type=int, default=FIG_GAMMA_RANGE[2])
-    command("figures", cmd_figures, "regenerate all figure datasets", arrays=True)
+    command("figures", cmd_figures, "regenerate all figure datasets")
     command("compare-experiment", cmd_compare_experiment,
             "model vs reference values for a config", source=True)
     return parser
@@ -270,13 +278,7 @@ def main(argv=None) -> int:
         if "config" in args:
             from .config import load_config
             sources = [load_config(args.config, args.material_db, args.set)]
-        guard = contextlib.nullcontext()
-        if args.arrays:  # only now: a refused command line or source never loads numpy
-            import numpy as np
-            # an overflow or invalid operation raises instead of warning on stderr
-            guard = np.errstate(over="raise", divide="raise", invalid="raise")
-        with guard:
-            _finish(args, *args.run(args, *sources))
+        _finish(args, *args.run(args, *sources))
         return 0
     except SpdcGaussError as exc:
         label, code, message = exc.label, exc.exit_code, str(exc)

@@ -15,13 +15,16 @@ dphi = K l/2 the accumulated longitudinal phase mismatch.  Collinear
 geometry (Xi = 0) reproduces the familiar sinc; large Xi is the
 overlap-limited regime where the crystal length drops out.
 
-Both numerical quantities have a fixed cost.  Phi_z integrates an entire
-function over [0, 1] on a composite Gauss-Legendre rule whose panel
-count follows the largest phase and the Gaussian decay; the spectral
-integral S(Xi) = int |Phi_z/l|^2 d(dphi) is evaluated in closed form
-through Plancherel's identity.  The waist-ratio curve (through A) lives
-here too.  numpy loads inside array functions, and never numpy.polynomial;
-S, the waist-ratio curve and its grid take scalars and are plain float math.
+Both numerical quantities have a fixed cost.  At a float dphi, Phi_z is
+a closed form in the Faddeeva function w, evaluated by Weideman's
+rational approximation (a power series in Xi^2 where Xi is small); on an
+ndarray of dphi it integrates an entire function over [0, 1] on a
+composite Gauss-Legendre rule whose panel count follows the largest phase
+and the Gaussian decay.  The spectral integral S(Xi) = int |Phi_z/l|^2
+d(dphi) is evaluated in closed form through Plancherel's identity.  The
+waist-ratio curve (through A) lives here too.  numpy loads inside array
+functions, and never numpy.polynomial; Phi_z at a float, S, the
+waist-ratio curve and its grid are plain float math.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "normalization_alpha",
     "geometry_coefficients",
     "phi_z",
+    "phi_z_curve",
     "phi_z_thin",
     "phi_z_thick",
     "longitudinal_k",
@@ -55,9 +59,30 @@ __all__ = [
 # floating-point cancellation and clamped to zero (1/m^2)
 H_CLAMP = 1e-18
 
-# largest |delta_phi| phi_z accepts: the rule takes about |delta_phi| nodes, so one
-# overlap value costs at most ~1e5 cosines, one cos-block row of 0.8 MB
+# largest |delta_phi| phi_z accepts: on an ndarray the rule takes about |delta_phi|
+# nodes, so one overlap value costs at most ~1e5 cosines, one cos-block row of 0.8 MB
 DELTA_PHI_MAX = 1e5
+# below this Xi the closed form of phi_z_curve, which loses ~1e-16/Xi to cancellation,
+# gives way to its power series in Xi^2, whose first omitted term is below Xi^6/42
+_SERIES_XI = 1e-2
+# Weideman's N = 40 rational approximation of the Faddeeva function (SIAM J. Numer.
+# Anal. 31, 1497 (1994)): the scale L = sqrt(N/sqrt(2)) and the coefficients of the
+# polynomial in (L + iz)/(L - iz), highest power first, from his FFT recipe
+_WEIDEMAN_L = math.sqrt(40 / math.sqrt(2.0))
+_WEIDEMAN_COEFFS = (
+    -1.7356980998791865e-15, 1.201674910759281e-15, 1.1519170220749485e-14,
+    -5.231716366324404e-15, -7.071088022159408e-14, 1.3778224047664046e-14,
+    4.5341448909434655e-13, 1.203330952919568e-13, -2.90771851041427e-12,
+    -2.7277735625830245e-12, 1.771418567386718e-11, 3.4727420938907015e-11,
+    -9.055138860958323e-11, -3.5632350403602684e-10, 2.1085990731251058e-10,
+    3.017780425551564e-09, 3.249746582945079e-09, -1.8315616834296834e-08,
+    -6.351773483015411e-08, 1.419864237295343e-08, 5.912136953029057e-07,
+    1.4835661133172014e-06, -1.066013898416273e-06, -1.8007447144723407e-05,
+    -5.5913092642348794e-05, -3.939363145483805e-05, 0.000439807015986967,
+    0.002705405633073729, 0.010048186242783535, 0.02920291647124188, 0.07182361779074328,
+    0.15504263802479504, 0.2998943799615006, 0.5266528988277086, 0.8472174576593815,
+    1.2563815675765133, 1.7253830848179779, 2.201513794878312, 2.6160541527618597,
+    2.899624509389705)
 # phi_z truncates its range where exp(-Xi^2 u^2) < 1e-27, at u = 8/Xi
 _GAUSS_CUTOFF = 8.0
 # rows of one cos(delta_phi u) block hold at most this many doubles (or one row)
@@ -195,31 +220,39 @@ def _legendre_rule():
     return rule
 
 
+def _checked_delta_phi(delta_phi) -> float:
+    d = abs(delta_phi)
+    if not d <= DELTA_PHI_MAX:
+        raise ValidationError(
+            f"delta_phi must be finite with |delta_phi| <= {DELTA_PHI_MAX:g}")
+    return d
+
+
 def phi_z(xi: float, delta_phi):
     """Dimensionless longitudinal overlap
 
         Phi_z / l = int_0^1 exp(-Xi^2 u^2) cos(delta_phi u) du
 
-    on a 32-point Gauss-Legendre rule tiled over equal panels.  For
-    Xi > 8 the range is cut at u = U = 8/Xi, where the weight has fallen
+    with ``|delta_phi| <= DELTA_PHI_MAX``.  A float (or int) ``delta_phi``
+    takes the closed form of :func:`phi_z_curve`, in float math.  An
+    ndarray takes a 32-point Gauss-Legendre rule tiled over equal panels.
+    For Xi > 8 the range is cut at u = U = 8/Xi, where the weight has fallen
     below 1e-27 (otherwise U = 1); the ``1 + ceil(max(|delta_phi|, 2 Xi)
     U / 32)`` panels on [0, U] keep each panel within 32 radians of phase
     and of Gaussian decay, where the rule's error falls off faster than
-    exponentially.  ``delta_phi`` may be a scalar or an ndarray, with
-    ``|delta_phi| <= DELTA_PHI_MAX``.
+    exponentially.
     Equals sinc(delta_phi) at Xi = 0 and (sqrt(pi)/(2 Xi)) erf(Xi) at
     delta_phi = 0.
     """
+    if isinstance(delta_phi, (int, float)):
+        return phi_z_curve(xi)(delta_phi)
     import numpy as np
     if not 0 <= xi < math.inf:
         raise ValidationError("Xi must be finite and >= 0")
     arr = np.atleast_1d(np.asarray(delta_phi, dtype=float))
     if arr.size == 0:
         return np.empty(0)
-    amax = float(np.max(np.abs(arr)))
-    if not amax <= DELTA_PHI_MAX:
-        raise ValidationError(
-            f"delta_phi must be finite with |delta_phi| <= {DELTA_PHI_MAX:g}")
+    amax = _checked_delta_phi(float(np.max(np.abs(arr))))
     upper = min(1.0, _GAUSS_CUTOFF / xi) if xi > 0 else 1.0
     x, w = _legendre_rule()
     panels = 1 + math.ceil(max(amax, 2.0 * xi) * upper / x.size)
@@ -234,6 +267,76 @@ def phi_z(xi: float, delta_phi):
     if np.ndim(delta_phi) == 0:
         return float(out[0])
     return out
+
+
+def _faddeeva_line(y: float):
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) along the line
+    Im z = y >= 0, as a function of a float x = Re z: Weideman's N = 40
+    rational approximation
+
+        w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)),  Z = (L + iz)/(L - iz),
+
+    with ``p`` the polynomial of ``_WEIDEMAN_COEFFS``; L - iz = (L + y) - ix.
+    """
+    lm, lp = _WEIDEMAN_L - y, _WEIDEMAN_L + y
+    rsqrt_pi = 1.0 / math.sqrt(math.pi)
+
+    def w(x):
+        b = complex(lp, -x)
+        z = complex(lm, x) / b
+        p = 0.0
+        for a in _WEIDEMAN_COEFFS:
+            p = p * z + a
+        return (2.0 * p / b + rsqrt_pi) / b
+    return w
+
+
+def phi_z_curve(xi: float):
+    """:func:`phi_z` at fixed Xi as a function of a float ``delta_phi``,
+    in float math; the constants of Xi are computed once per curve.
+
+    Completing the square in the exponent gives, with x = delta_phi/(2 Xi),
+
+        Phi_z / l = sqrt(pi)/(2 Xi) [exp(-x^2) - Re(exp(-Xi^2 + i delta_phi) w(x + i Xi))]
+
+    with w the Faddeeva function (:func:`_faddeeva_line`).  Below Xi =
+    ``_SERIES_XI`` the two terms cancel to within ~1e-16/Xi of each other,
+    and the power series
+
+        sinc(delta_phi) - Xi^2 M2 + Xi^4 M4 / 2,  M_n = int_0^1 u^n cos(delta_phi u) du
+
+    takes over (M2 and M4 by their Taylor series for |delta_phi| < 1e-2).
+    The curve is exactly even: it evaluates |delta_phi|.
+    """
+    if not 0 <= xi < math.inf:
+        raise ValidationError("Xi must be finite and >= 0")
+    if xi < _SERIES_XI:
+        xi2 = xi * xi
+        xi4_half = 0.5 * xi2 * xi2
+
+        def curve(delta_phi):
+            d = _checked_delta_phi(delta_phi)
+            d2 = d * d
+            if d < 1e-2:  # the closed forms of M2 and M4 cancel here
+                return (1.0 - d2 / 6.0 + d2 * d2 / 120.0 - xi2 * (1.0 / 3.0 - 0.1 * d2)
+                        + xi4_half * (0.2 - d2 / 14.0))
+            s, c = math.sin(d), math.cos(d)
+            m2 = ((d2 - 2.0) * s + 2.0 * d * c) / (d2 * d)
+            m4 = ((d2 * d2 - 12.0 * d2 + 24.0) * s + (4.0 * d2 - 24.0) * d * c) / (d2 * d2 * d)
+            return s / d - xi2 * m2 + xi4_half * m4
+        return curve
+    scale = 0.5 * math.sqrt(math.pi) / xi  # sqrt(pi)/(2 Xi), finite up to the float maximum
+    half_inv = 0.5 / xi
+    damping = math.exp(-xi * xi)
+    w = _faddeeva_line(xi)
+
+    def curve(delta_phi):
+        d = _checked_delta_phi(delta_phi)
+        x = d * half_inv
+        wx = w(x)
+        return scale * (math.exp(-x * x)
+                        - damping * (math.cos(d) * wx.real - math.sin(d) * wx.imag))
+    return curve
 
 
 def phi_z_thin(delta_phi):

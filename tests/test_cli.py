@@ -140,6 +140,16 @@ def test_cli_spectrum_large_xi_gaussian_shape(tmp_path):
     assert np.max(np.abs(residual)) < 1e-4
 
 
+def test_cli_spectrum_at_huge_xi(tmp_path):
+    # sqrt(pi)/(2 Xi) = 8.86e-309 at Xi = 1e308, where 2 Xi overflows
+    out = str(tmp_path / "s")
+    assert main(["spectrum", "--out", out, "--xi", "1e308", "--points", "3"]) == 0
+    _, rows = read_csv(os.path.join(out, "spectrum_overlap.csv"))
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row[2]) == pytest.approx(0.886226925452758e-308, rel=1e-12)
+
+
 def test_cli_spectrum_with_config(tmp_path, capsys):
     # a source's spectrum comes from `rate`; `spectrum` takes no config
     out = str(tmp_path / "o")
@@ -368,7 +378,7 @@ assert not missing, missing
 
 
 # commands whose results are closed forms or float math, and never load numpy
-NUMPY_FREE = ("compare-experiment", "sweep-gamma", "sweep-xi")
+NUMPY_FREE = ("compare-experiment", "sweep-gamma", "sweep-xi", "figures", "spectrum")
 
 
 def test_closed_form_commands_never_load_numpy(tmp_path):
@@ -450,6 +460,8 @@ def test_write_csv_matches_row_join(tmp_path):
          np.column_stack((np.array([[0.5, -0.0], [5e-324, 1e308]]).astype(object),
                           np.array([0, 1])))),
         (["a"], []),
+        # repeated cells that compare equal but print differently: 0.0 == -0.0 == 0, 1 == 1.0
+        (["a", "b", "c"], [(1.0, 1, -0.0), (0.0, 1.0, 0), (-0.0, True, 0.1), (0.1, 1.0, 1)]),
     ]
     for i, (header, rows) in enumerate(tables):
         assert _write_csv(str(tmp_path), f"t{i}.csv", header, rows, False) == f"t{i}.csv"

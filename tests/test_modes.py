@@ -284,6 +284,52 @@ def test_stored_legendre_rule_is_leggauss_32():
     assert np.array_equal(w, want_w)
 
 
+@pytest.mark.parametrize("xi", [1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.5, 6.4, 50.0])
+def test_phi_z_float_path_matches_adaptive_quadrature(xi):
+    # the closed form's two terms cancel to ~1e-16/Xi, which only shows at
+    # small |delta_phi|; the power series below Xi = 1e-2 keeps 1e-12
+    grid = np.linspace(-30.0, 30.0, 601)
+    ref = phi_z_adaptive(xi, grid, rel_tol=1e-12, abs_tol=1e-14)
+    got = np.array([phi_z(xi, float(d)) for d in grid])
+    assert np.max(np.abs(got - ref)) < 1e-12
+    # on its own, as its panels would swamp the grid above; the engine's error
+    # estimate there levels off near 5e-13 from rounding in cos(1e5 u)
+    far = np.array([-1e5, 1e5])
+    ref = phi_z_adaptive(xi, far, rel_tol=1e-12, abs_tol=1e-12)
+    assert np.max(np.abs([phi_z(xi, float(d)) - r for d, r in zip(far, ref)])) < 1e-12
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-6, 5e-3, 0.5, 2.0, 40.0])
+def test_phi_z_float_path_is_exactly_even(xi):
+    for d in (1e-3, 0.5, 3.0, 15.0, 123.4, 99999.5):
+        assert phi_z(xi, -d).hex() == phi_z(xi, d).hex()
+
+
+def test_faddeeva_matches_scipy_wofz():
+    # the half-plane phi_z_curve reaches: Im z = Xi in [1e-2, 27], where exp(-Xi^2)
+    # has not underflowed, and Re z = |delta_phi|/(2 Xi) up to 5e6
+    from spdcgauss.modes import _faddeeva_line
+    x = np.concatenate((np.linspace(0.0, 60.0, 601), np.geomspace(60.0, 5e6, 61)))
+    for y in (1e-2, 0.05, 0.3, 1.0, 2.0, 4.0, 8.0, 27.0):
+        w = _faddeeva_line(y)
+        got = np.array([w(float(v)) for v in x])
+        want = scipy.special.wofz(x + 1j * y)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13, y
+
+
+def test_stored_weideman_coefficients_follow_the_fft_recipe():
+    # Weideman (1994): a_n from the FFT of exp(-t^2) (L^2 + t^2) at t = L tan(theta/2)
+    from spdcgauss.modes import _WEIDEMAN_COEFFS, _WEIDEMAN_L
+    n = len(_WEIDEMAN_COEFFS)
+    m = 2 * n
+    assert n == 40 and _WEIDEMAN_L == math.sqrt(n / math.sqrt(2))
+    t = _WEIDEMAN_L * np.tan(np.arange(-m + 1, m) * np.pi / m / 2)
+    f = np.concatenate(([0.0], np.exp(-t * t) * (_WEIDEMAN_L ** 2 + t * t)))
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+    # highest power first; two FFT implementations differ by ~4e-16 here
+    np.testing.assert_allclose(_WEIDEMAN_COEFFS, a[n:0:-1], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("lo, hi, points", [
     (0.0, 5.0, 251), (0.1, 3.0, 581), (-15.0, 15.0, 2001), (-0.0, 1.0, 2), (0.3, 0.7, 777),
     (-1e5, 1e5, 5), (1e300, 1.7976931348623157e308, 9), (-8e307, 8e307, 3),
