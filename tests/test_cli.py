@@ -393,6 +393,7 @@ for command in {NUMPY_FREE!r}:
 assert "numpy" not in sys.modules, "numpy loaded by a closed-form command"
 assert cli.main(["rate", "--config", cfg_path, "--out", {str(tmp_path / "rate")!r}]) == 0
 assert "numpy" in sys.modules and "numpy.ma" not in sys.modules
+assert "scipy" not in sys.modules, "the library loaded scipy, a test-only dependency"
 """
     proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=120)

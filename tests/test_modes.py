@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
-from quadrature_oracle import (
-    integrate_finite,
-    phi_z_adaptive,
-    spectral_integral_S_nested,
-)
+from conftest import phi_z_qawo, spectral_integral_S_direct
 from spdcgauss.errors import ValidationError
 from spdcgauss.modes import (
     DELTA_PHI_MAX,
@@ -30,8 +28,9 @@ from spdcgauss.modes import phi_z_thin as sinc
 
 
 def S_parseval(xi: float) -> float:
-    """Closed form of the Plancherel identity for the spectral integral,
-    evaluated with scipy's erf (independent of the quadrature route)."""
+    """Closed form of the Plancherel identity for the spectral integral, the
+    library's formula evaluated with scipy's erf in place of ``math.erf``;
+    ``spectral_integral_S_direct`` is the oracle independent of Plancherel."""
     if xi == 0.0:
         return math.pi
     a = math.sqrt(2.0) * xi
@@ -42,6 +41,22 @@ def mode(role, waist=82e-6, lam=702.2e-9, theta=0.0, n=1.65):
     if role is Role.PUMP:
         lam, theta = 351.1e-9, 0.0
     return GaussianMode(waist, lam, theta, n, role)
+
+
+def erf_via_phi_z_thick(x: float) -> float:
+    """erf(x) for x > 0 recovered from the library's phi_z_thick."""
+    return phi_z_thick(x) * 2.0 * x / math.sqrt(math.pi)
+
+
+def erf_via_S(x: float) -> float:
+    """erf(x) for x > 0 recovered from the library's S(x / sqrt2)."""
+    return spectral_integral_S(x / math.sqrt(2.0)) * 2.0 * x / math.pi ** 1.5
+
+
+def phi_z_both_paths(xi: float, dphi: float) -> tuple[float, float]:
+    """phi_z at a float delta_phi (the closed form) and at a one-element
+    ndarray (the Gauss-Legendre kernel)."""
+    return phi_z(xi, dphi), float(phi_z(xi, np.array([dphi]))[0])
 
 
 def geometry(waists=(82e-6, 82e-6, 82e-6), thetas=(0.0, 0.0), l=2e-3):
@@ -131,21 +146,21 @@ def test_overlap_geometry_invariants():
 
 
 def test_phi_z_anchor_points():
-    assert phi_z(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert phi_z(0.0, math.pi) == pytest.approx(0.0, abs=1e-12)
-    assert phi_z(1.0, 0.0) == pytest.approx(0.7468241328124269, rel=1e-10)
+    for xi, dphi, want in ((0.0, 0.0, 1.0), (0.0, math.pi, 0.0), (1.0, 0.0, 0.7468241328124269)):
+        for got in phi_z_both_paths(xi, dphi):
+            assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_phi_z_reduces_to_sinc():
     grid = np.linspace(-20.0, 20.0, 1000)
-    vals = phi_z(0.0, grid)
-    assert np.max(np.abs(vals - sinc(grid))) < 1e-9
+    assert np.max(np.abs(phi_z(0.0, grid) - sinc(grid))) < 1e-13
+    assert max(abs(phi_z(0.0, d) - sinc(d)) for d in grid.tolist()) < 1e-13
 
 
 def test_phi_z_erf_identity():
-    for xi in np.linspace(0.1, 10.0, 100):
-        xi = float(xi)
-        assert phi_z(xi, 0.0) == pytest.approx(phi_z_thick(xi), abs=1e-10)
+    for xi in np.linspace(0.1, 10.0, 100).tolist() + [50.0, 1000.0]:
+        for got in phi_z_both_paths(xi, 0.0):
+            assert got == pytest.approx(phi_z_thick(xi), abs=1e-13)
 
 
 def test_phi_z_even_and_bounded():
@@ -167,13 +182,66 @@ def test_phi_z_thin():
 
 
 def test_phi_z_thick():
-    assert phi_z_thick(1.0) == pytest.approx(0.7468241328124269, rel=1e-10)
-    assert phi_z_thick(50.0) == pytest.approx(math.sqrt(math.pi) / 100.0, rel=1e-10)
-    assert phi_z_thick(1e-8) == pytest.approx(1.0, rel=1e-10)
+    assert phi_z_thick(1.0) == pytest.approx(0.7468241328124269, rel=1e-13)
+    assert phi_z_thick(50.0) == pytest.approx(math.sqrt(math.pi) / 100.0, rel=1e-13)
+    assert phi_z_thick(1e-8) == pytest.approx(1.0, rel=1e-13)
     for xi in (3.0, 5.0, 8.0):
-        assert phi_z_thick(xi) == pytest.approx(phi_z(xi, 0.0), rel=1e-6)
+        for got in phi_z_both_paths(xi, 0.0):
+            assert phi_z_thick(xi) == pytest.approx(got, rel=1e-13)
     with pytest.raises(ValidationError):
         phi_z_thick(0.0)
+
+
+def test_erf_reference_values():
+    for erf in (erf_via_phi_z_thick, erf_via_S):
+        assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-12)
+        assert erf(2.0) == pytest.approx(0.9953222650189527, abs=1e-12)
+
+
+def test_erf_against_scipy_grid():
+    xs = np.linspace(0.0025, 8.0, 3200)
+    ref = scipy.special.erf(xs)
+    for erf in (erf_via_phi_z_thick, erf_via_S):
+        ours = np.array([erf(float(x)) for x in xs])
+        assert np.max(np.abs(ours - ref)) < 1e-12
+
+
+def test_erf_oddness_random():
+    # the library only evaluates erf at positive arguments; its values
+    # there must be those of the odd function scipy continues to x < 0
+    rng = np.random.default_rng(20240817)
+    xs = rng.uniform(0.01, 10.0, size=1000)
+    for x in xs:
+        x = float(x)
+        assert erf_via_phi_z_thick(x) == pytest.approx(
+            -float(scipy.special.erf(-x)), rel=1e-14)
+
+
+def test_erf_range():
+    for x in np.linspace(0.05, 30, 600):
+        x = float(x)
+        assert 0.0 < phi_z_thick(x) <= min(1.0, math.sqrt(math.pi) / (2.0 * x))
+        assert 0.0 < spectral_integral_S(x) <= math.pi
+
+
+def test_sinc_values():
+    assert sinc(0.0) == 1.0
+    assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
+    assert sinc(math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6, allow_nan=False))
+def test_sinc_even_and_bounded(x):
+    assert sinc(-x) == sinc(x)
+    assert abs(sinc(x)) <= 1.0
+
+
+def test_sinc_array():
+    xs = np.array([0.0, math.pi, 2.5])
+    vals = sinc(xs)
+    assert vals.shape == (3,)
+    assert vals[0] == 1.0
 
 
 def test_overlap_phi_collinear_equal_waists():
@@ -247,24 +315,25 @@ def test_phi_z_rejects_bad_inputs(xi, dphi):
 
 @pytest.mark.parametrize("xi", [0.0, 0.933, 2.0, 5.0])
 def test_spectral_integral_matches_nested_quadrature(xi):
-    """The closed form against the adaptive quadrature of |Phi_z/l|^2
-    over the real line with tail extrapolation (an independent route)."""
-    nested = spectral_integral_S_nested(xi)
-    assert spectral_integral_S(xi) == pytest.approx(nested, abs=1e-6)
+    """The closed form against the integral of the QAWO |Phi_z/l|^2 over the
+    real line with its 1/delta_phi^2 tail in closed form (an independent route)."""
+    assert spectral_integral_S(xi) == pytest.approx(spectral_integral_S_direct(xi), abs=1e-8)
 
 
-@pytest.mark.parametrize("xi, span", [(0.0, 300.0), (1e-6, 300.0), (1e-4, 300.0),
-                                      (1e-2, 300.0), (0.5, 300.0), (6.4, 300.0),
-                                      (50.0, 300.0), (0.5, 1000.0)])
-def test_phi_z_matches_adaptive_quadrature(xi, span):
-    grid = np.linspace(-span, span, 601)
-    ref = phi_z_adaptive(xi, grid, rel_tol=1e-12, abs_tol=1e-14)
-    assert np.max(np.abs(phi_z(xi, grid) - ref)) < 1e-12
-    # one value through the bare engine, outside phi_z_adaptive's chunking
-    single = integrate_finite(lambda u: np.exp(-xi * xi * u * u) * np.cos(123.4 * u),
-                              0.0, 1.0, rel_tol=1e-12, abs_tol=1e-14,
-                              initial_intervals=40)
-    assert phi_z(xi, 123.4) == pytest.approx(single.value, abs=1e-12)
+# far from the grid, where the ndarray kernel's cos(delta_phi u) rounds to ~4e-13;
+# in the grid they would make that kernel tile ~1e5 nodes per row
+FAR_DELTA_PHI = [-1e3, 1e3, 1e4, -1e5, 1e5, 98205.35005496268]
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.5, 6.4, 50.0,
+                                1000.0])
+def test_phi_z_matches_qawo(xi):
+    # the closed form's two terms cancel to ~1e-16/Xi, which only shows at
+    # small |delta_phi|; the power series below Xi = 1e-2 keeps 1e-12
+    for points in (np.linspace(-300.0, 300.0, 601).tolist(), FAR_DELTA_PHI):
+        ref = np.array([phi_z_qawo(xi, d) for d in points])
+        assert np.max(np.abs(phi_z(xi, np.array(points)) - ref)) < 1e-12
+        assert np.max(np.abs([phi_z(xi, d) for d in points] - ref)) < 1e-12
 
 
 def test_phi_z_at_delta_phi_max_matches_sinc():
@@ -282,21 +351,6 @@ def test_stored_legendre_rule_is_leggauss_32():
     want_x, want_w = leggauss(32)
     assert np.array_equal(x, want_x)
     assert np.array_equal(w, want_w)
-
-
-@pytest.mark.parametrize("xi", [1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.5, 6.4, 50.0])
-def test_phi_z_float_path_matches_adaptive_quadrature(xi):
-    # the closed form's two terms cancel to ~1e-16/Xi, which only shows at
-    # small |delta_phi|; the power series below Xi = 1e-2 keeps 1e-12
-    grid = np.linspace(-30.0, 30.0, 601)
-    ref = phi_z_adaptive(xi, grid, rel_tol=1e-12, abs_tol=1e-14)
-    got = np.array([phi_z(xi, float(d)) for d in grid])
-    assert np.max(np.abs(got - ref)) < 1e-12
-    # on its own, as its panels would swamp the grid above; the engine's error
-    # estimate there levels off near 5e-13 from rounding in cos(1e5 u)
-    far = np.array([-1e5, 1e5])
-    ref = phi_z_adaptive(xi, far, rel_tol=1e-12, abs_tol=1e-12)
-    assert np.max(np.abs([phi_z(xi, float(d)) - r for d, r in zip(far, ref)])) < 1e-12
 
 
 @pytest.mark.parametrize("xi", [0.0, 1e-6, 5e-3, 0.5, 2.0, 40.0])
