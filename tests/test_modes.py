@@ -325,14 +325,23 @@ def test_spectral_integral_matches_nested_quadrature(xi):
 FAR_DELTA_PHI = [-1e3, 1e3, 1e4, -1e5, 1e5, 98205.35005496268]
 
 
-@pytest.mark.parametrize("xi", [0.0, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.5, 6.4, 50.0,
-                                1000.0])
-def test_phi_z_matches_qawo(xi):
+XI_QAWO = [0.0, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.5, 6.4, 50.0, 1000.0]
+
+
+@pytest.mark.parametrize("xi, span", [(xi, 300.0) for xi in XI_QAWO] + [(0.5, 1000.0)])
+def test_phi_z_matches_adaptive_quadrature(xi, span):
+    # the ndarray path, each set of points as one array, against QAWO
+    for points in (np.linspace(-span, span, 601).tolist(), FAR_DELTA_PHI):
+        ref = np.array([phi_z_qawo(xi, d) for d in points])
+        assert np.max(np.abs(phi_z(xi, np.array(points)) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("xi", XI_QAWO)
+def test_phi_z_float_path_matches_adaptive_quadrature(xi):
     # the closed form's two terms cancel to ~1e-16/Xi, which only shows at
     # small |delta_phi|; the power series below Xi = 1e-2 keeps 1e-12
     for points in (np.linspace(-300.0, 300.0, 601).tolist(), FAR_DELTA_PHI):
         ref = np.array([phi_z_qawo(xi, d) for d in points])
-        assert np.max(np.abs(phi_z(xi, np.array(points)) - ref)) < 1e-12
         assert np.max(np.abs([phi_z(xi, d) for d in points] - ref)) < 1e-12
 
 
