@@ -8,12 +8,9 @@ byte-identical files.
 
 A refused input prints one stderr line, ``error LABEL: message``, and
 exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
-The command line is parsed and the source loaded before numpy is imported,
-and only ``rate`` imports it, for its sampled spectrum: ``compare-experiment``
-reports closed forms, and ``figures``, ``spectrum`` and the two sweeps are
-float math (the overlap curves take the closed form of
-:func:`spdcgauss.modes.phi_z_curve`).  ``config`` and ``rates`` load only for
-the two commands that take ``--config``.
+Only ``rate`` imports numpy, for its sampled spectrum; the other commands are
+closed forms or float math.  ``IMPORT_CONTRACT`` in ``tests/test_cli.py``
+states which modules each command loads.
 """
 
 from __future__ import annotations

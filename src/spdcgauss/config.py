@@ -132,7 +132,10 @@ def config_from_dict(raw: dict, material_db: dict, read: set | None = None) -> S
     else:
         n_s, n_i = n_ext, n_ord
 
-    theta_ext = math.radians(get("collection.external_angle_deg", float))
+    angle_deg = get("collection.external_angle_deg", float)
+    if not 0 <= angle_deg < 90:  # a tilt off the pump axis, under either convention
+        raise ValidationError("collection.external_angle_deg must lie in [0, 90)")
+    theta_ext = math.radians(angle_deg)
     if conv is AngleConvention.INTERNAL_PHYSICS:
         th_s = materials.internal_angle(theta_ext, n_s)
         th_i = materials.internal_angle(theta_ext, n_i)

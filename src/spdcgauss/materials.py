@@ -140,7 +140,9 @@ def _sellmeier_from_json(obj, where):
 def load_material_db(path=None) -> dict:
     """Load the material database, returning {name: MaterialRecord}.
 
-    ``path=None`` loads the database shipped with the package.
+    ``path=None`` loads the database shipped with the package.  Each record
+    names its effective-nonlinearity form in ``d_eff_form``; the one form the
+    model evaluates is ``"3m_d22"``, d22 cos^2(theta_c) cos(3 phi_c).
     """
     if path is None:
         text = resources.files("spdcgauss").joinpath("data/materials.json").read_text()
@@ -161,6 +163,7 @@ def load_material_db(path=None) -> dict:
         label = f"{where}#materials[{i}]"
         try:
             name = m["name"]
+            d_eff_form = m["d_eff_form"]
             rec = MaterialRecord(
                 name=name,
                 ordinary=_sellmeier_from_json(m["ordinary"], label + ".ordinary"),
@@ -170,6 +173,8 @@ def load_material_db(path=None) -> dict:
             )
         except KeyError as exc:
             raise ParseError(f"{label}: missing field {exc}") from exc
+        if d_eff_form != "3m_d22":  # the one form effective_nonlinearity_bbo evaluates
+            raise ParseError(f"{label} {name!r}: unknown d_eff form {d_eff_form!r}")
         out[name] = rec
     if not out:
         raise ParseError(f"{where}: no materials defined")

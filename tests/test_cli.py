@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def test_polarization_assignment_swaps_indices(bbo_config):
 def test_validation_bad_waist():
     with pytest.raises(ValidationError, match="pump.waist"):
         sg.load_config(sg.builtin_config_path(), overrides=["pump.waist_um=-1"])
+
+
+@pytest.mark.parametrize("angle", ["-3", "90", "95"])
+@pytest.mark.parametrize("convention", ["paper_external_as_internal", "internal_physics"])
+def test_validation_external_angle_outside_range(angle, convention):
+    with pytest.raises(ValidationError, match=r"collection\.external_angle_deg .* \[0, 90\)"):
+        sg.load_config(sg.builtin_config_path(),
+                       overrides=[f"collection.external_angle_deg={angle}",
+                                  f"angle_convention={convention}"])
 
 
 def test_validation_missing_polarization(tmp_path):
@@ -313,6 +323,8 @@ def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     # keys that no config field reads
     ["rate", "--config", sg.builtin_config_path(), "--set", "pump.powr_mw=5"],
     ["compare-experiment", "--config", sg.builtin_config_path(), "--set", "target_angle_deg=0"],
+    # under the shipped convention this ran as +3 deg, the model being even in the tilt
+    ["rate", "--config", sg.builtin_config_path(), "--set", "collection.external_angle_deg=-3"],
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
@@ -321,83 +333,67 @@ def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error VALIDATION:")
 
 
-# a child interpreter that imports the package under test
-CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)),
-                 OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-
-
-def test_source_validation_does_not_load_numpy(tmp_path):
-    # numpy loads with the first array computation, not with a config or a refusal
-    code = f"""
-import sys
-import spdcgauss
-from spdcgauss import cli
-cfg_path = spdcgauss.builtin_config_path()
-spdcgauss.load_material_db()
-spdcgauss.load_config(cfg_path, overrides=["pump.power_mw=2", "angle_convention=internal_physics"])
-assert cli.main(["rate", "--config", cfg_path, "--set", "pump.waist_um=-50",
-                 "--out", {str(tmp_path / "refused")!r}]) == 2
-try:
-    cli.main(["--help"])
-except SystemExit as exc:
-    assert exc.code == 0
-else:
-    raise AssertionError("--help did not exit")
-assert "numpy" not in sys.modules, "numpy loaded before any array computation"
-assert cli.main(["rate", "--config", cfg_path, "--out", {str(tmp_path / "rate")!r}]) == 0
-assert "numpy" in sys.modules
-"""
-    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+def run_child(*args, cwd=None):
+    """``python *args`` in a fresh interpreter that imports the package under test."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["error VALIDATION: pump.waist must be finite and > 0"]
 
 
-# commands that need no source description, and the modules they must not load
-SOURCE_FREE = ("figures", "spectrum", "sweep-xi", "sweep-gamma")
+# The import contract.  The model is closed-form, so no command loads numpy but
+# `rate`, for its sampled spectrum, and commands without a source load none of
+# config, materials and rates.  A row: argv (None: the library alone, loading the
+# material database and a config with overrides), the exit code and stderr, the
+# modules that must not load and those that must.
 SOURCE_MODULES = ("spdcgauss.config", "spdcgauss.materials", "spdcgauss.rates")
+IMPORT_CONTRACT = [
+    pytest.param(None, 0, "", ("numpy",), (), id="library"),
+    pytest.param(["--help"], 0, "", ("numpy",), (), id="help"),
+    pytest.param(["rate", "--config", sg.builtin_config_path(), "--set", "pump.waist_um=-50"],
+                 2, "error VALIDATION: pump.waist must be finite and > 0\n", ("numpy",), (),
+                 id="refused"),
+    pytest.param(["figures"], 0, "", ("numpy", "numpy.polynomial", "scipy", *SOURCE_MODULES),
+                 (), id="figures"),
+    *(pytest.param([command], 0, "", ("numpy", "numpy.polynomial", *SOURCE_MODULES), (),
+                   id=command) for command in ("spectrum", "sweep-xi", "sweep-gamma")),
+    pytest.param(["compare-experiment", "--config", sg.builtin_config_path()],
+                 0, "", ("numpy",), SOURCE_MODULES, id="compare-experiment"),
+    pytest.param(["rate", "--config", sg.builtin_config_path()], 0, "",
+                 ("numpy.ma", "numpy.polynomial", "scipy"), ("numpy", *SOURCE_MODULES), id="rate"),
+]
 
-
-def test_source_free_commands_load_only_what_they_run(tmp_path):
-    code = f"""
-import sys
+# runs one row, prints the loaded modules, then checks that the lazy package
+# exports still bind through import *
+CONTRACT_CHILD = """\
+import json, sys
 import spdcgauss
-from spdcgauss import cli
-for command in {SOURCE_FREE!r}:
-    assert cli.main([command, "--out", {str(tmp_path)!r} + "/" + command]) == 0
-unwanted = [m for m in {SOURCE_MODULES!r} + ("numpy.polynomial",) if m in sys.modules]
-assert not unwanted, unwanted
-assert cli.main(["rate", "--config", spdcgauss.builtin_config_path(),
-                 "--out", {str(tmp_path / "rate")!r}]) == 0
-missing = [m for m in {SOURCE_MODULES!r} if m not in sys.modules]
-assert not missing, missing
+argv = json.loads(sys.argv[1])
+if argv is None:
+    spdcgauss.load_material_db()
+    spdcgauss.load_config(spdcgauss.builtin_config_path(),
+                          overrides=["pump.power_mw=2", "angle_convention=internal_physics"])
+    code = 0
+else:
+    from spdcgauss import cli
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(json.dumps(sorted(sys.modules)))
+from spdcgauss import *
+assert load_config is spdcgauss.config.load_config and total_rate is spdcgauss.rates.total_rate
+sys.exit(code)
 """
-    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
-# commands whose results are closed forms or float math, and never load numpy
-NUMPY_FREE = ("compare-experiment", "sweep-gamma", "sweep-xi", "figures", "spectrum")
-
-
-def test_closed_form_commands_never_load_numpy(tmp_path):
-    code = f"""
-import sys
-import spdcgauss
-from spdcgauss import cli
-cfg_path = spdcgauss.builtin_config_path()
-for command in {NUMPY_FREE!r}:
-    source = ["--config", cfg_path] if command == "compare-experiment" else []
-    assert cli.main([command, *source, "--out", {str(tmp_path)!r} + "/" + command]) == 0
-assert "numpy" not in sys.modules, "numpy loaded by a closed-form command"
-assert cli.main(["rate", "--config", cfg_path, "--out", {str(tmp_path / "rate")!r}]) == 0
-assert "numpy" in sys.modules and "numpy.ma" not in sys.modules
-assert "scipy" not in sys.modules, "the library loaded scipy, a test-only dependency"
-"""
-    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+@pytest.mark.parametrize("argv, code, stderr, unloaded, loaded", IMPORT_CONTRACT)
+def test_import_contract(tmp_path, argv, code, stderr, unloaded, loaded):
+    proc = run_child("-c", CONTRACT_CHILD, json.dumps(argv), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    modules = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert [m for m in unloaded if m in modules] == []
+    assert [m for m in loaded if m not in modules] == []
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep-xi", "sweep-gamma"])
@@ -487,9 +483,7 @@ def test_cli_rate_warns_when_spectrum_frequencies_repeat(tmp_path, capsys):
 
 
 def test_cli_module_run_is_silent(tmp_path):
-    proc = subprocess.run([sys.executable, "-m", "spdcgauss.cli", "sweep-gamma",
-                           "--out", str(tmp_path)],
-                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    proc = run_child("-m", "spdcgauss.cli", "sweep-gamma", "--out", str(tmp_path))
     assert proc.returncode == 0
     assert proc.stderr == ""
 
@@ -505,26 +499,57 @@ def test_cli_module_run_is_silent(tmp_path):
       "--set", "crystal.length_mm=1e300"], "comparison.csv"),
 ])
 def test_cli_extreme_inputs_bounded(tmp_path, args, name):
-    # the child runs the CLI module and prints its own peak RSS (kB) last
-    code = ("import resource, runpy, sys\n"
+    # the child runs the CLI module and prints its own peak RSS last, where the
+    # kernel reports it: ru_maxrss would carry the parent's peak across exec
+    code = ("import os, runpy, sys\n"
             "sys.argv[0] = 'spdc-gauss'\n"
             "try:\n"
             "    runpy.run_module('spdcgauss.cli', run_name='__main__')\n"
             "finally:\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(tmp_path)],
-                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+            "    if os.path.exists('/proc/self/status'):\n"
+            "        with open('/proc/self/status') as fh:\n"
+            "            print(next(line for line in fh if line.startswith('VmHWM:')))\n")
+    proc = run_child("-c", code, *args, "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     lines = proc.stdout.strip().splitlines()
-    peak_mb = int(lines[-1]) / 1024.0
-    assert peak_mb < 200.0
+    if os.path.exists("/proc/self/status"):
+        *lines, peak = lines
+        kind, kb, unit = peak.split()
+        assert (kind, unit) == ("VmHWM:", "kB") and int(kb) / 1024.0 < 200.0
     assert max(len(line) for line in lines) < 200  # summaries print huge numbers short
     _, rows = read_csv(os.path.join(tmp_path, name))
     if name in ("rate_report.csv", "comparison.csv"):  # rows lead with a quantity name
         rows = [r[1:] for r in rows]
     values = np.array([float(v) for r in rows for v in r if v])  # "" where undefined
     assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("form", ["3m_d22", "mm2_d24", None])
+def test_cli_material_db_names_its_d_eff_form(tmp_path, capsys, form):
+    # a two-entry database: the shipped BBO record and a copy under another name
+    doc = json.loads(resources.files("spdcgauss").joinpath("data/materials.json").read_text())
+    second = dict(doc["materials"][0], name="BBO-copy", d_eff_form=form)
+    if form is None:
+        del second["d_eff_form"]
+    doc["materials"].append(second)
+    db = tmp_path / "materials.json"
+    db.write_text(json.dumps(doc))
+
+    def rate(out, *argv):
+        return main(["rate", "--config", sg.builtin_config_path(), "--out", str(tmp_path / out),
+                     "--material-db", str(db), *argv])
+
+    if form == "3m_d22":
+        assert rate("bbo") == 0 and rate("copy", "--set", 'crystal.material="BBO-copy"') == 0
+        assert (open(tmp_path / "bbo" / "rate_report.csv").read()
+                == open(tmp_path / "copy" / "rate_report.csv").read())
+        return
+    assert rate("bbo") == 2  # a record the model cannot evaluate refuses the whole database
+    err = capsys.readouterr().err.splitlines()
+    expect = "missing field 'd_eff_form'" if form is None else f"unknown d_eff form {form!r}"
+    assert len(err) == 1 and err[0].startswith("error PARSE:")
+    assert "materials[1]" in err[0] and err[0].endswith(expect)
 
 
 def test_cli_missing_config_exit_code(capsys):
