@@ -33,9 +33,10 @@ for w in report.warnings:
     print(f"\nnote: {w}")
 
 # the emission spectrum behind the total: a narrow peak at the
-# phase-matched signal frequency, sinc-like softened by walk-off
-omega, density = np.array(report.spectral_samples).T
-print(f"\nspectral peak at omega_s = {omega[np.argmax(density)]:.4e} rad/s "
+# phase-matched signal frequency (delta_phi = 0), sinc-like softened by walk-off
+omega, density, dphi = report.spectral_samples.T
+peak = np.argmax(density)
+print(f"\nspectral peak at omega_s = {omega[peak]:.4e} rad/s, delta_phi = {dphi[peak]:.3g} "
       f"(degeneracy at {cfg.pump.omega / 2:.4e})")
 print(f"trapezoid integral of the sampled spectrum: "
       f"{np.trapezoid(density, omega):.1f} pairs/s vs R_T = {report.R_T:.1f}")

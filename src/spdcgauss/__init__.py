@@ -9,9 +9,9 @@ import importlib
 _SUBMODULES = ("config", "constants", "errors", "materials", "modes", "rates")
 _LAZY = {
     "config": ("builtin_config_path", "load_config"),
-    "errors": ("ComputationError", "ConfigurationError", "DegenerateDispersion",
-               "EnergyMismatch", "NegativeH", "OutOfRange", "OverwriteRefused", "ParseError",
-               "SpdcGaussError", "UnequalWaists", "UnknownMaterial", "ValidationError"),
+    "errors": ("ComputationError", "ConfigurationError", "DegenerateDispersion", "NegativeH",
+               "OutOfRange", "OverwriteRefused", "ParseError", "SpdcGaussError",
+               "UnequalWaists", "UnknownMaterial", "ValidationError"),
     "materials": ("CrystalSpec", "MaterialRecord", "SellmeierSet", "load_material_db"),
     "modes": ("GaussianMode", "OverlapGeometry", "Role",
               "gamma_sweep", "optimal_gamma", "waist_scaling"),

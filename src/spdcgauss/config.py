@@ -160,7 +160,6 @@ def config_from_dict(raw: dict, material_db: dict, read: set | None = None) -> S
         crystal=crystal,
         external_collection_angle=theta_ext,
         angle_convention=conv,
-        polarization_assignment=pol,
         collection_solid_angle_sr=get("collection.solid_angle_sr", float, required=False),
         pair_to_singles_ratio=get("collection.pair_to_singles_ratio", float, required=False),
         decay_path_multiplicity=decay_paths,

@@ -29,10 +29,6 @@ class OutOfRange(ComputationError):
     """Wavelength outside the validity window of a dispersion model."""
 
 
-class EnergyMismatch(ComputationError):
-    """Signal and idler frequencies do not add up to the pump frequency."""
-
-
 class DegenerateDispersion(ComputationError):
     """The linearized frequency <-> longitudinal-mismatch change of
     variables breaks down (n_i cos(theta_i) ~ n_s cos(theta_s))."""

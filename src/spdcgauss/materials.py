@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .constants import C_LIGHT
-from .errors import (
-    DegenerateDispersion,
-    EnergyMismatch,
-    OutOfRange,
-    ParseError,
-    ValidationError,
-)
+from .errors import DegenerateDispersion, OutOfRange, ParseError, ValidationError
 
 __all__ = [
     "SellmeierSet",
@@ -225,24 +219,17 @@ def internal_angle(theta_external: float, n_inside: float) -> float:
     return math.asin(math.sin(theta_external) / n_inside)
 
 
-def delta_k_z(n_s, n_i, n_p, omega_s, omega_i, omega_p, theta_s, theta_i):
-    """Longitudinal wave-vector mismatch
+def delta_k_z(n_s, n_i, n_p, omega_s, omega_p, theta_s, theta_i):
+    """Longitudinal wave-vector mismatch, the idler taking w_i = w_p - w_s,
 
         delta_k_z = (n_s w_s cos(theta_s) + n_i w_i cos(theta_i) - n_p w_p) / c
 
     in 1/m; zero at perfect longitudinal phase matching.  Angles are
-    internal; ``omega_s`` and ``omega_i`` may be ndarrays, with w_s + w_i
-    = w_p throughout.  Only delta_k_z^2 enters the emission model, so the
-    overall sign convention is immaterial downstream.
+    internal; ``omega_s`` may be an ndarray.  Only delta_k_z^2 enters the
+    emission model, so the overall sign convention is immaterial downstream.
     """
-    mismatch = abs(omega_p - omega_s - omega_i)
-    if not isinstance(mismatch, float):  # arrays of frequencies
-        import numpy as np
-        mismatch = np.max(mismatch)
-    if mismatch > 1e-12 * omega_p:
-        raise EnergyMismatch(f"|omega_p - omega_s - omega_i| = {mismatch:.6e} rad/s")
     return (n_s * omega_s * math.cos(theta_s)
-            + n_i * omega_i * math.cos(theta_i)
+            + n_i * (omega_p - omega_s) * math.cos(theta_i)
             - n_p * omega_p) / C_LIGHT
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "RateReport",
     "ComparisonRow",
     "pump_amplitude_sq",
-    "delta_phi_grid",
     "closed_form_report",
     "total_rate",
     "comparison_rows",
@@ -41,6 +40,10 @@ __all__ = [
 # spanning delta_phi in [-span, span] about the phase-matched point
 SPECTRAL_POINTS = 2001
 SPECTRAL_SPAN_DPHI = 100.0
+# closed_form_report warns when the phase-matched signal frequency is further than
+# this fraction of omega_p/2 from degeneracy: the closed form's omega_s omega_i =
+# omega_p^2/4 then overstates the rate there by 1/(1 - offset^2), over 1 %
+DEGENERACY_OFFSET_MAX = 0.1
 
 
 class AngleConvention(str, enum.Enum):
@@ -69,7 +72,7 @@ class SourceConfig:
     The three ``GaussianMode`` entries arrive fully resolved: internal
     tilt angles per the chosen angle convention and refractive indices
     already assigned (pump extraordinary at the cut angle; daughters
-    ordinary / extraordinary per ``polarization_assignment``).
+    ordinary / extraordinary per the config's polarization assignment).
     Degenerate operation is the supported design point: both daughter
     wavelengths must equal twice the pump wavelength.
     """
@@ -81,7 +84,6 @@ class SourceConfig:
     crystal: CrystalSpec
     external_collection_angle: float
     angle_convention: AngleConvention
-    polarization_assignment: PolarizationAssignment
     collection_solid_angle_sr: float | None = None
     pair_to_singles_ratio: float | None = None
     decay_path_multiplicity: int = 2
@@ -115,9 +117,10 @@ class RateReport:
 
     R_T and R_T_thin are pairs/s into the two collection modes (R_T_thin,
     the thin-crystal rate, only for collinear collection);
-    spectral_samples is a (SPECTRAL_POINTS, 2) float array whose columns
-    are omega_s [rad/s] and dR/domega_s [pairs s/rad /s] from
-    :func:`total_rate`, and None from :func:`closed_form_report`;
+    spectral_samples is a (SPECTRAL_POINTS, 3) float array whose columns
+    are omega_s [rad/s], dR/domega_s [pairs s/rad /s] and the phase
+    mismatch delta_phi = delta_k_z l/2 from :func:`total_rate`, and None
+    from :func:`closed_form_report`;
     efficiency_per_mm is pairs per pump photon per mm of crystal,
     R_T * hbar*omega_p / (P * l_mm).
     """
@@ -154,23 +157,19 @@ def _density_prefactor(config: SourceConfig) -> float:
     alpha_i = modes.normalization_alpha(config.idler.waist_w)
     ep_sq = pump_amplitude_sq(config.pump_power_p, config.pump.waist_w, config.pump.n)
     d = config.d_eff
-    return (d * d * alpha_s ** 2 * alpha_i ** 2 * ep_sq / C_LIGHT ** 2
-            / (2.0 * math.pi * config.signal.n * config.idler.n))
+    prefactor = (d * d * alpha_s ** 2 * alpha_i ** 2 * ep_sq / C_LIGHT ** 2
+                 / (2.0 * math.pi * config.signal.n * config.idler.n))
+    if not math.isfinite(prefactor):
+        raise ComputationError(f"spectral density prefactor {prefactor} is beyond the float range")
+    return prefactor
 
 
 def _delta_k_z(config: SourceConfig, omega_s):
-    """delta_k_z at a signal frequency or an array of them, the idler
-    taking omega_p - omega_s."""
-    omega_p = config.pump.omega
+    """delta_k_z at a signal frequency or an array of them; times l/2 it is
+    delta_phi (K = delta_k_z under perfect transverse matching)."""
     return materials.delta_k_z(config.signal.n, config.idler.n, config.pump.n,
-                               omega_s, omega_p - omega_s, omega_p,
+                               omega_s, config.pump.omega,
                                config.signal.theta, config.idler.theta)
-
-
-def delta_phi_grid(config: SourceConfig, omega_s):
-    """Phase mismatch delta_phi = delta_k_z l/2 at a signal frequency or
-    an array of them (K = delta_k_z under perfect transverse matching)."""
-    return _delta_k_z(config, omega_s) * config.crystal.length_l / 2.0
 
 
 def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
@@ -194,20 +193,21 @@ def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
 
 
 def _sample_range(config: SourceConfig, disp: float):
-    """``(lo, hi)``, the first and last signal frequency of the sampled
-    spectrum: delta_phi in [-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI] about
-    the phase-matched point (the spectral weight |Phi_z|^2 lives there),
-    clipped to [1e-6, 1 - 1e-6] omega_p; ``disp`` is the dispersion factor,
-    so d(delta_phi)/d(omega_s) = -disp l/2.  Refuses a crystal so short
-    that this slope underflows, a range beyond the float range, and a
-    range outside (0, omega_p): a source phase-matched far from degeneracy.
+    """``(lo, hi, center)``: the first and last signal frequency of the
+    sampled spectrum, delta_phi in [-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI]
+    about the phase-matched point ``center`` (the spectral weight |Phi_z|^2
+    lives there), clipped to [1e-6, 1 - 1e-6] omega_p; ``disp`` is the
+    dispersion factor, so d(delta_phi)/d(omega_s) = -disp l/2.  Refuses a
+    crystal so short that this slope underflows, a range beyond the float
+    range, and a range outside (0, omega_p): a source phase-matched far from
+    degeneracy.
     """
     omega_p = config.pump.omega
     l = config.crystal.length_l
     slope = -disp * l / 2.0
     if slope == 0.0:  # a vanishing disp is refused before, so l underflowed
         raise ValidationError(f"crystal.length {l:g} m is too short to sample the spectrum")
-    center = omega_p / 2.0 - delta_phi_grid(config, omega_p / 2) / slope
+    center = omega_p / 2.0 - _delta_k_z(config, omega_p / 2) * l / 2.0 / slope
     half = SPECTRAL_SPAN_DPHI / abs(slope)
     lo = max(center - half, 1e-6 * omega_p)
     hi = min(center + half, (1 - 1e-6) * omega_p)
@@ -215,7 +215,7 @@ def _sample_range(config: SourceConfig, disp: float):
         raise OverflowError(f"the sampled signal frequencies [{lo}, {hi}] leave the float range")
     if lo >= omega_p or hi <= 0.0:  # the grid runs from lo to hi
         raise ValidationError("omega_s must lie strictly inside (0, omega_p)")
-    return lo, hi
+    return lo, hi, center
 
 
 def _pair_rate(config: SourceConfig, S: float, angular: float, dn: float) -> float:
@@ -277,8 +277,9 @@ def closed_form_report(config: SourceConfig) -> RateReport:
 
     valid for equal waists, matched target angles and degenerate
     operation (omega_s omega_i is approximated by omega_p^2/4, as in the
-    derivation of the closed form).  It refuses the sources whose
-    spectrum :func:`total_rate` cannot sample.
+    derivation of the closed form): it warns when the phase-matched signal
+    frequency lies more than DEGENERACY_OFFSET_MAX x omega_p/2 from omega_p/2.  It
+    refuses the sources whose spectrum :func:`total_rate` cannot sample.
     """
     warnings: list[str] = []
     _require_equal_waists(config)
@@ -313,7 +314,16 @@ def closed_form_report(config: SourceConfig) -> RateReport:
     r_t = _pair_rate(config, S, angular, abs(disp) * C_LIGHT)
     # at theta = 0, S = pi and the angular factor is 3: R_T is the thin rate
     r_thin = r_t if ths == 0.0 and thi == 0.0 else None
-    _sample_range(config, disp)  # refuses what total_rate's spectrum cannot sample
+    # refuses what total_rate's spectrum cannot sample
+    center = _sample_range(config, disp)[2]
+    offset = center / (config.pump.omega / 2.0) - 1.0
+    if abs(offset) > DEGENERACY_OFFSET_MAX:
+        warnings.append(
+            f"phase-matched at a signal wavelength of {2e9 * math.pi * C_LIGHT / center:.1f} nm, "
+            f"{100 * offset:+.3g}% in frequency from degeneracy at "
+            f"{2e9 * config.pump.lambda_vac:.1f} nm; the closed form assumes near-degenerate "
+            "operation"
+        )
     eff_mm, eff_mm_sr = _efficiencies(config, r_t)
     return RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
                       spectral_samples=None, efficiency_per_mm=eff_mm,
@@ -321,21 +331,26 @@ def closed_form_report(config: SourceConfig) -> RateReport:
 
 
 def total_rate(config: SourceConfig) -> RateReport:
-    """:func:`closed_form_report` with the sampled spectrum: dR/domega_s
-    at SPECTRAL_POINTS signal frequencies spanning delta_phi in
-    [-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI], in ``spectral_samples``.
-    Warns when the crystal is so long that sampled frequencies repeat.
+    """:func:`closed_form_report` with the sampled spectrum: omega_s,
+    dR/domega_s and delta_phi at SPECTRAL_POINTS signal frequencies spanning
+    delta_phi in [-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI], in
+    ``spectral_samples``.  An overflow, division by zero or invalid
+    operation in the spectrum raises ``FloatingPointError``.  Warns when the
+    crystal is so long that sampled frequencies repeat.
     """
     import numpy as np
     report = closed_form_report(config)
-    grid = np.linspace(*_sample_range(config, _dispersion(config)), SPECTRAL_POINTS)
+    lo, hi, _ = _sample_range(config, _dispersion(config))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        grid = np.linspace(lo, hi, SPECTRAL_POINTS)
+        density = _spectral_density_grid(config, grid)
+        dphi = _delta_k_z(config, grid) * config.crystal.length_l / 2.0
     distinct = 1 + int(np.count_nonzero(np.diff(grid)))  # the grid is monotone
     if distinct < SPECTRAL_POINTS:
         report.warnings.append(f"only {distinct} of the {SPECTRAL_POINTS} sampled signal "
                                "frequencies are distinct: the crystal is too long for the "
                                "float spacing of omega_s")
-    samples = np.column_stack((grid, _spectral_density_grid(config, grid)))
-    return replace(report, spectral_samples=samples)
+    return replace(report, spectral_samples=np.column_stack((grid, density, dphi)))
 
 
 @dataclass(frozen=True)

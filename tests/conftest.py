@@ -7,7 +7,7 @@ from scipy.integrate import quad
 import spdcgauss as sg
 from spdcgauss.constants import C_LIGHT, EPSILON_0
 from spdcgauss.modes import GaussianMode, Role
-from spdcgauss.rates import AngleConvention, PolarizationAssignment, SourceConfig
+from spdcgauss.rates import AngleConvention, SourceConfig
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +55,6 @@ def make_config(
         crystal=crystal,
         external_collection_angle=th,
         angle_convention=convention,
-        polarization_assignment=PolarizationAssignment.SIGNAL_ORDINARY,
         collection_solid_angle_sr=3.3e-5,
         pair_to_singles_ratio=0.23,
     )

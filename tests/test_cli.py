@@ -290,7 +290,10 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     ["rate", "--set", "pump.power_mw=1e308"],
     # the thin-crystal rate behind the efficiencies beyond the float range
     ["compare-experiment", "--set", "crystal.length_mm=1e305"],
-], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow"])
+    # the spectral density prefactor beyond the float range
+    ["rate", "--set", "pump.waist_um=1e-50", "--set", "signal.waist_um=1e-50",
+     "--set", "idler.waist_um=1e-50"],
+], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow"])
 def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
     code = main(argv + ["--config", sg.builtin_config_path(), "--out", out])
@@ -415,10 +418,10 @@ def test_cli_compare_refuses_a_source_far_from_phase_matching(tmp_path, capsys):
         assert err == ["error VALIDATION: omega_s must lie strictly inside (0, omega_p)"]
 
 
-# every name the package exported before its exports became lazy
+# every name the package exported before its exports became lazy, less EnergyMismatch
 PACKAGE_EXPORTS = (
     "AngleConvention", "ComputationError", "ConfigurationError", "CrystalSpec",
-    "DegenerateDispersion", "EnergyMismatch", "GaussianMode", "MaterialRecord", "NegativeH",
+    "DegenerateDispersion", "GaussianMode", "MaterialRecord", "NegativeH",
     "OutOfRange", "OverlapGeometry", "OverwriteRefused", "ParseError",
     "PolarizationAssignment", "RateReport", "Role", "SellmeierSet", "SourceConfig",
     "SpdcGaussError", "UnequalWaists", "UnknownMaterial", "ValidationError",
@@ -464,6 +467,16 @@ def test_write_csv_matches_row_join(tmp_path):
         assert _write_csv(str(tmp_path), f"t{i}.csv", header, rows, False) == f"t{i}.csv"
         with open(tmp_path / f"t{i}.csv", encoding="utf-8", newline="") as fh:
             assert fh.read() == _csv_by_row_join(header, rows)
+
+
+def test_rate_spectrum_csv_is_the_total_rate_table(tmp_path):
+    from spdcgauss.cli import _write_csv
+    from spdcgauss.rates import total_rate
+    header = ["omega_s_rad_per_s", "spectral_density_pairs_per_rad", "delta_phi"]
+    _write_csv(str(tmp_path), "table.csv", header,
+               total_rate(sg.load_config(sg.builtin_config_path())).spectral_samples, False)
+    assert main(["rate", "--config", sg.builtin_config_path(), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rate_spectrum.csv").read_bytes()
 
 
 def test_cli_rate_warns_when_spectrum_frequencies_repeat(tmp_path, capsys):

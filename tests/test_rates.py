@@ -11,6 +11,8 @@ from spdcgauss.errors import DegenerateDispersion, UnequalWaists, ValidationErro
 from spdcgauss.modes import gamma_sweep, optimal_gamma, waist_scaling
 from spdcgauss.rates import (
     SPECTRAL_POINTS,
+    SPECTRAL_SPAN_DPHI,
+    _delta_k_z,
     _spectral_density_grid,
     closed_form_report,
     comparison_rows,
@@ -92,10 +94,12 @@ def test_source_config_rejects_bad_power(power):
 def test_spectral_samples_integrate_to_total():
     report = total_rate(make_config())
     assert isinstance(report.spectral_samples, np.ndarray)
-    assert report.spectral_samples.shape == (SPECTRAL_POINTS, 2)
-    omega, dens = np.array(report.spectral_samples).T
+    assert report.spectral_samples.shape == (SPECTRAL_POINTS, 3)
+    omega, dens, dphi = report.spectral_samples.T
     integral = np.trapezoid(dens, omega)
     assert integral == pytest.approx(report.R_T, rel=0.05)
+    # delta_phi runs from -span to +span about the phase-matched point
+    assert dphi[[0, -1]] == pytest.approx([-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI], rel=1e-9)
 
 
 def test_spectral_density_positive_domain():
@@ -251,11 +255,37 @@ def test_closed_form_comparison_matches_experiment_comparison(overrides):
     closed = closed_form_report(cfg)
     assert comparison_rows(cfg, closed) == rows
     assert closed.spectral_samples is None
-    assert report.spectral_samples.shape == (SPECTRAL_POINTS, 2)
+    assert report.spectral_samples.shape == (SPECTRAL_POINTS, 3)
     assert dataclasses.replace(report, spectral_samples=None, warnings=[]) == \
         dataclasses.replace(closed, warnings=[])
     # the sampled spectrum adds only its repeated-frequency warning
     assert [w for w in report.warnings if "distinct" not in w] == closed.warnings
+
+
+# crystal.theta_c_deg (or length_mm) -> delta_phi at omega_p/2, phase-matched omega_s over
+# omega_p/2, R_T in pairs/s, and whether the degeneracy warning is expected; a longer
+# crystal scales delta_phi but moves neither the matched point nor the closed form's error
+DEGENERACY_CASES = [
+    ([], -25.81, 1.041, 2452.8, False),
+    (["crystal.theta_c_deg=45"], -127.1, 1.232, 3991.2, True),
+    (["crystal.theta_c_deg=60"], 176.7, 0.7792, 709.0, True),
+    (["crystal.length_mm=10"], -129.0, 1.041, 2615.3, False),
+]
+
+
+@pytest.mark.parametrize("overrides, dphi, ratio, r_t, warns", DEGENERACY_CASES)
+def test_degeneracy_warning(overrides, dphi, ratio, r_t, warns):
+    cfg = sg.load_config(sg.builtin_config_path(), overrides=overrides)
+    half = cfg.pump.omega / 2
+    assert _delta_k_z(cfg, half) * cfg.crystal.length_l / 2 == pytest.approx(dphi, rel=1e-3)
+    report = total_rate(cfg)
+    omega, _, matched = report.spectral_samples[SPECTRAL_POINTS // 2]
+    assert matched == pytest.approx(0.0, abs=1e-6)
+    assert omega / half == pytest.approx(ratio, rel=1e-3)
+    assert report.R_T == pytest.approx(r_t, rel=1e-3)
+    flagged = [w for w in report.warnings if "from degeneracy" in w]
+    assert len(flagged) == warns
+    assert [w for w in closed_form_report(cfg).warnings if "from degeneracy" in w] == flagged
 
 
 def test_gamma_sweep_matches_array_formula():
