@@ -11,11 +11,11 @@ Run:  python demos/01_longitudinal_overlap.py
 
 import numpy as np
 
-from spdcgauss.modes import phi_z, phi_z_thick, phi_z_thin
+from spdcgauss.modes import phi_z_grid, phi_z_thick, phi_z_thin
 
 dphi = np.linspace(-15.0, 15.0, 1201)
 xis = (0.0, 0.5, 1.0, 2.0, 4.0)
-curves = {xi: phi_z(xi, dphi) for xi in xis}
+curves = {xi: phi_z_grid(xi, dphi) for xi in xis}
 
 # the two limiting forms bracket the exact curves
 print("peak value Phi_z/l at delta_phi = 0:")
@@ -24,7 +24,7 @@ for xi in xis:
     limit = 1.0 if xi == 0.0 else phi_z_thick(xi)
     print(f"  Xi = {xi:3.1f}: {peak:.6f}   (erf closed form {limit:.6f})")
 
-thin = phi_z_thin(dphi)
+thin = np.array([phi_z_thin(d) for d in dphi.tolist()])
 print(f"\nXi = 0 versus sinc: max |difference| = "
       f"{np.max(np.abs(curves[0.0] - thin)):.2e}")
 

@@ -17,20 +17,20 @@ overlap-limited regime where the crystal length drops out.
 
 Both numerical quantities have a fixed cost.  At a float dphi, Phi_z is
 a closed form in the Faddeeva function w, evaluated by Weideman's
-rational approximation (a power series in Xi^2 where Xi is small); on an
-ndarray of dphi it integrates an entire function over [0, 1] on a
+rational approximation (a power series in Xi^2 where Xi is small):
+phi_z and phi_z_curve.  phi_z_grid, the one array function, takes an
+ndarray of dphi and integrates an entire function over [0, 1] on a
 composite Gauss-Legendre rule whose panel count follows the largest phase
 and the Gaussian decay.  The spectral integral S(Xi) = int |Phi_z/l|^2
 d(dphi) is evaluated in closed form through Plancherel's identity.  The
-waist-ratio curve (through A) lives here too.  numpy loads inside array
-functions, and never numpy.polynomial; Phi_z at a float, S, the
-waist-ratio curve and its grid are plain float math.
+waist-ratio curve (through A) lives here too.  numpy loads inside
+phi_z_grid only, and never numpy.polynomial; everything else here is
+plain float math.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +43,7 @@ __all__ = [
     "normalization_alpha",
     "geometry_coefficients",
     "phi_z",
+    "phi_z_grid",
     "phi_z_curve",
     "phi_z_thin",
     "phi_z_thick",
@@ -59,7 +60,7 @@ __all__ = [
 # floating-point cancellation and clamped to zero (1/m^2)
 H_CLAMP = 1e-18
 
-# largest |delta_phi| phi_z accepts: on an ndarray the rule takes about |delta_phi|
+# largest |delta_phi| phi_z accepts: phi_z_grid's rule takes about |delta_phi|
 # nodes, so one overlap value costs at most ~1e5 cosines, one cos-block row of 0.8 MB
 DELTA_PHI_MAX = 1e5
 # below this Xi the closed form of phi_z_curve, which loses ~1e-16/Xi to cancellation,
@@ -83,11 +84,11 @@ _WEIDEMAN_COEFFS = (
     0.15504263802479504, 0.2998943799615006, 0.5266528988277086, 0.8472174576593815,
     1.2563815675765133, 1.7253830848179779, 2.201513794878312, 2.6160541527618597,
     2.899624509389705)
-# phi_z truncates its range where exp(-Xi^2 u^2) < 1e-27, at u = 8/Xi
+# phi_z_grid truncates its range where exp(-Xi^2 u^2) < 1e-27, at u = 8/Xi
 _GAUSS_CUTOFF = 8.0
 # rows of one cos(delta_phi u) block hold at most this many doubles (or one row)
 _BLOCK = 1 << 15
-# (node, weight) of leggauss(32), the rule phi_z tiles over each panel, for node > 0
+# (node, weight) of leggauss(32), the rule phi_z_grid tiles over each panel, for node > 0
 _GL_RULE = (
     (0.048307665687738324, 0.09654008851472766), (0.1444719615827965, 0.09563872007927471),
     (0.23928736225213706, 0.09384439908080451), (0.33186860228212767, 0.09117387869576378),
@@ -209,17 +210,6 @@ def geometry_coefficients(
     return OverlapGeometry(A=A, C=C, D=D, F=F, H=H, Xi=Xi)
 
 
-@functools.cache
-def _legendre_rule():
-    # the cached arrays are shared, hence read-only
-    import numpy as np
-    x, w = np.array(_GL_RULE).T
-    rule = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 def _checked_delta_phi(delta_phi) -> float:
     d = abs(delta_phi)
     if not d <= DELTA_PHI_MAX:
@@ -228,24 +218,28 @@ def _checked_delta_phi(delta_phi) -> float:
     return d
 
 
-def phi_z(xi: float, delta_phi):
+def phi_z(xi: float, delta_phi: float) -> float:
     """Dimensionless longitudinal overlap
 
         Phi_z / l = int_0^1 exp(-Xi^2 u^2) cos(delta_phi u) du
 
-    with ``|delta_phi| <= DELTA_PHI_MAX``.  A float (or int) ``delta_phi``
-    takes the closed form of :func:`phi_z_curve`, in float math.  An
-    ndarray takes a 32-point Gauss-Legendre rule tiled over equal panels.
-    For Xi > 8 the range is cut at u = U = 8/Xi, where the weight has fallen
-    below 1e-27 (otherwise U = 1); the ``1 + ceil(max(|delta_phi|, 2 Xi)
-    U / 32)`` panels on [0, U] keep each panel within 32 radians of phase
-    and of Gaussian decay, where the rule's error falls off faster than
-    exponentially.
-    Equals sinc(delta_phi) at Xi = 0 and (sqrt(pi)/(2 Xi)) erf(Xi) at
-    delta_phi = 0.
+    at a float ``delta_phi`` with ``|delta_phi| <= DELTA_PHI_MAX``: the
+    closed form of :func:`phi_z_curve`, in float math.  Equals
+    sinc(delta_phi) at Xi = 0 and (sqrt(pi)/(2 Xi)) erf(Xi) at delta_phi = 0.
+    :func:`phi_z_grid` evaluates an array of ``delta_phi``.
     """
-    if isinstance(delta_phi, (int, float)):
-        return phi_z_curve(xi)(delta_phi)
+    return phi_z_curve(xi)(delta_phi)
+
+
+def phi_z_grid(xi: float, delta_phi):
+    """:func:`phi_z` over an array of ``delta_phi``, as a 1-D ndarray: a
+    32-point Gauss-Legendre rule tiled over equal panels.  For Xi > 8 the
+    range is cut at u = U = 8/Xi, where the weight has fallen below 1e-27
+    (otherwise U = 1); the ``1 + ceil(max(|delta_phi|, 2 Xi) U / 32)``
+    panels on [0, U], with the array's largest |delta_phi|, keep each panel
+    within 32 radians of phase and of Gaussian decay, where the rule's error
+    falls off faster than exponentially.
+    """
     import numpy as np
     if not 0 <= xi < math.inf:
         raise ValidationError("Xi must be finite and >= 0")
@@ -254,7 +248,8 @@ def phi_z(xi: float, delta_phi):
         return np.empty(0)
     amax = _checked_delta_phi(float(np.max(np.abs(arr))))
     upper = min(1.0, _GAUSS_CUTOFF / xi) if xi > 0 else 1.0
-    x, w = _legendre_rule()
+    x, w = np.array(_GL_RULE).T
+    x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
     panels = 1 + math.ceil(max(amax, 2.0 * xi) * upper / x.size)
     h = upper / panels
     u = (h * np.arange(panels)[:, None] + (0.5 * h) * (x + 1.0)).ravel()
@@ -264,8 +259,6 @@ def phi_z(xi: float, delta_phi):
     for i in range(0, arr.size, rows):
         block = np.outer(arr[i:i + rows], u)
         out[i:i + rows] = np.cos(block, out=block) @ weights
-    if np.ndim(delta_phi) == 0:
-        return float(out[0])
     return out
 
 
@@ -339,21 +332,14 @@ def phi_z_curve(xi: float):
     return curve
 
 
-def phi_z_thin(delta_phi):
+def phi_z_thin(delta_phi: float) -> float:
     """Thin-crystal (collinear) limit: Phi_z / l = sinc(delta_phi)
-    = sin(delta_phi)/delta_phi, with sinc(0) = 1.
-
-    Accepts scalars or arrays.  (Unlike numpy.sinc there is no factor of
-    pi in the argument.)
+    = sin(delta_phi)/delta_phi, with sinc(0) = 1, at a float ``delta_phi``.
+    (Unlike numpy.sinc there is no factor of pi in the argument.)
     """
-    import numpy as np
-    arr = np.asarray(delta_phi, dtype=float)
-    small = np.abs(arr) < 1e-4
-    safe = np.where(small, 1.0, arr)
-    out = np.where(small, 1.0 - arr * arr / 6.0, np.sin(safe) / safe)
-    if np.ndim(delta_phi) == 0:
-        return float(out)
-    return out
+    if abs(delta_phi) < 1e-4:
+        return 1.0 - delta_phi * delta_phi / 6.0
+    return math.sin(delta_phi) / delta_phi
 
 
 def phi_z_thick(xi: float) -> float:
@@ -382,16 +368,17 @@ def longitudinal_k(geom: OverlapGeometry, delta_k_y: float, delta_k_z: float) ->
 def overlap_phi(
     geom: OverlapGeometry,
     delta_k_y: float,
-    delta_k_z,
+    delta_k_z: float,
     crystal_length_l: float,
-):
-    """Full three-mode overlap integral (m^3),
+) -> float:
+    """Full three-mode overlap integral (m^3) at one wave-vector mismatch,
 
         Phi = pi/sqrt(A C) * exp(-delta_k_y^2/(4C)) * l * Phi_z/l ,
 
     real-valued because the z-interval is symmetric.  delta_k_x = 0 by
-    construction (all beams lie in the y-z plane).  ``delta_k_z`` may be
-    a scalar or an ndarray, as ``delta_phi`` of :func:`phi_z`.
+    construction (all beams lie in the y-z plane).  All arguments are
+    floats; :func:`~spdcgauss.rates.total_rate` evaluates Phi over its
+    spectrum at delta_k_y = 0 through :func:`phi_z_grid`.
     """
     if not crystal_length_l > 0:
         raise ValidationError("crystal length must be > 0")

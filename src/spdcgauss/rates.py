@@ -172,26 +172,6 @@ def _delta_k_z(config: SourceConfig, omega_s):
                                config.signal.theta, config.idler.theta)
 
 
-def _spectral_density_grid(config: SourceConfig, omega_s) -> np.ndarray:
-    """Pair rate per unit signal angular frequency over an array of
-    signal frequencies (rad/s),
-
-        dR/domega_s = [d a_s a_i E_p0 Phi / c]^2 * omega_s omega_i / (2 pi n_s n_i)
-
-    with Phi evaluated at delta_k_y = 0 (perfect transverse phase
-    matching) and the exact omega_s * omega_i product.
-    """
-    import numpy as np
-    omega_s = np.asarray(omega_s, dtype=float)
-    omega_p = config.pump.omega
-    if np.any(omega_s <= 0) or np.any(omega_s >= omega_p):
-        raise ValidationError("omega_s must lie strictly inside (0, omega_p)")
-    l = config.crystal.length_l
-    geom = geometry_coefficients(config.pump, config.signal, config.idler, l)
-    phi = modes.overlap_phi(geom, 0.0, _delta_k_z(config, omega_s), l)
-    return _density_prefactor(config) * omega_s * (omega_p - omega_s) * phi * phi
-
-
 def _sample_range(config: SourceConfig, disp: float):
     """``(lo, hi, center)``: the first and last signal frequency of the
     sampled spectrum, delta_phi in [-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI]
@@ -253,12 +233,17 @@ def _require_equal_waists(config: SourceConfig):
 
 def _efficiencies(config: SourceConfig, rate: float):
     """``rate`` in pairs per pump photon per mm of crystal, and that per
-    sr of collection solid angle (None when the config gives none)."""
+    sr of collection solid angle (None when the config gives none); refuses
+    an efficiency beyond the float range."""
     length_mm = config.crystal.length_l * 1e3
     eff_mm = rate * HBAR * config.pump.omega / (config.pump_power_p * length_mm)
     if config.collection_solid_angle_sr is None:
         return eff_mm, None
-    return eff_mm, eff_mm / config.collection_solid_angle_sr
+    eff_mm_sr = eff_mm / config.collection_solid_angle_sr
+    if not math.isfinite(eff_mm_sr):
+        raise ComputationError(f"efficiency {eff_mm_sr} pairs per pump photon per mm sr "
+                               "is beyond the float range")
+    return eff_mm, eff_mm_sr
 
 
 def _dispersion(config: SourceConfig) -> float:
@@ -334,17 +319,26 @@ def total_rate(config: SourceConfig) -> RateReport:
     """:func:`closed_form_report` with the sampled spectrum: omega_s,
     dR/domega_s and delta_phi at SPECTRAL_POINTS signal frequencies spanning
     delta_phi in [-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI], in
-    ``spectral_samples``.  An overflow, division by zero or invalid
+    ``spectral_samples``.  The pair rate per unit signal angular frequency is
+
+        dR/domega_s = [d a_s a_i E_p0 Phi / c]^2 * omega_s omega_i / (2 pi n_s n_i)
+
+    with Phi the overlap of :func:`~spdcgauss.modes.overlap_phi` at
+    delta_k_y = 0 (perfect transverse phase matching) and the exact
+    omega_s * omega_i product.  An overflow, division by zero or invalid
     operation in the spectrum raises ``FloatingPointError``.  Warns when the
     crystal is so long that sampled frequencies repeat.
     """
     import numpy as np
     report = closed_form_report(config)
     lo, hi, _ = _sample_range(config, _dispersion(config))
+    l = config.crystal.length_l
+    geom = geometry_coefficients(config.pump, config.signal, config.idler, l)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         grid = np.linspace(lo, hi, SPECTRAL_POINTS)
-        density = _spectral_density_grid(config, grid)
-        dphi = _delta_k_z(config, grid) * config.crystal.length_l / 2.0
+        dphi = _delta_k_z(config, grid) * l / 2.0
+        phi = math.pi / math.sqrt(geom.A * geom.C) * l * modes.phi_z_grid(geom.Xi, dphi)
+        density = _density_prefactor(config) * grid * (config.pump.omega - grid) * phi * phi
     distinct = 1 + int(np.count_nonzero(np.diff(grid)))  # the grid is monotone
     if distinct < SPECTRAL_POINTS:
         report.warnings.append(f"only {distinct} of the {SPECTRAL_POINTS} sampled signal "

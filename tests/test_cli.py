@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -293,7 +294,11 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     # the spectral density prefactor beyond the float range
     ["rate", "--set", "pump.waist_um=1e-50", "--set", "signal.waist_um=1e-50",
      "--set", "idler.waist_um=1e-50"],
-], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow"])
+    # the efficiency per sr beyond the float range, for R_T and for the thin-crystal rate
+    ["rate", "--set", "collection.solid_angle_sr=1e-322"],
+    ["compare-experiment", "--set", "collection.solid_angle_sr=1e-320"],
+], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow",
+        "efficiency-overflow", "thin-efficiency-overflow"])
 def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
     code = main(argv + ["--config", sg.builtin_config_path(), "--out", out])
@@ -397,6 +402,46 @@ def test_import_contract(tmp_path, argv, code, stderr, unloaded, loaded):
     modules = set(json.loads(proc.stdout.splitlines()[-1]))
     assert [m for m in unloaded if m in modules] == []
     assert [m for m in loaded if m not in modules] == []
+
+
+# where the package imports numpy: the one array function of modes, the one of
+# rates, and rates' annotation-only import
+NUMPY_IMPORT_SITES = ["modes.phi_z_grid", "rates.TYPE_CHECKING", "rates.total_rate"]
+
+
+def numpy_import_sites(node, scope):
+    """The scope of every ``import numpy...`` / ``from numpy... import`` under
+    ``node``: ``scope`` and the names of the enclosing definitions, joined by
+    dots, with ``TYPE_CHECKING`` for the body of an ``if TYPE_CHECKING:``."""
+    sites = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [child.module]
+        else:
+            names = []
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            sites.append(scope)
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            inner = f"{scope}.TYPE_CHECKING"
+        sites += numpy_import_sites(child, inner)
+    return sites
+
+
+def test_numpy_imported_in_two_functions():
+    # the source of the package that is imported, which may be an installed copy
+    package = os.path.dirname(sg.__file__)
+    sites = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            sites += numpy_import_sites(tree, name[:-3])
+    assert sorted(sites) == NUMPY_IMPORT_SITES
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep-xi", "sweep-gamma"])

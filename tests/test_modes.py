@@ -19,6 +19,7 @@ from spdcgauss.modes import (
     normalization_alpha,
     overlap_phi,
     phi_z,
+    phi_z_grid,
     phi_z_thick,
     phi_z_thin,
     spectral_integral_S,
@@ -54,9 +55,9 @@ def erf_via_S(x: float) -> float:
 
 
 def phi_z_both_paths(xi: float, dphi: float) -> tuple[float, float]:
-    """phi_z at a float delta_phi (the closed form) and at a one-element
-    ndarray (the Gauss-Legendre kernel)."""
-    return phi_z(xi, dphi), float(phi_z(xi, np.array([dphi]))[0])
+    """phi_z at a float delta_phi (the closed form) and phi_z_grid at a
+    one-element ndarray (the Gauss-Legendre kernel)."""
+    return phi_z(xi, dphi), float(phi_z_grid(xi, np.array([dphi]))[0])
 
 
 def geometry(waists=(82e-6, 82e-6, 82e-6), thetas=(0.0, 0.0), l=2e-3):
@@ -152,9 +153,9 @@ def test_phi_z_anchor_points():
 
 
 def test_phi_z_reduces_to_sinc():
-    grid = np.linspace(-20.0, 20.0, 1000)
-    assert np.max(np.abs(phi_z(0.0, grid) - sinc(grid))) < 1e-13
-    assert max(abs(phi_z(0.0, d) - sinc(d)) for d in grid.tolist()) < 1e-13
+    for d in np.linspace(-20.0, 20.0, 1000).tolist():
+        for got in phi_z_both_paths(0.0, d):
+            assert abs(got - sinc(d)) < 1e-13
 
 
 def test_phi_z_erf_identity():
@@ -164,13 +165,11 @@ def test_phi_z_erf_identity():
 
 
 def test_phi_z_even_and_bounded():
-    grid = np.linspace(0.0, 30.0, 400)
     for xi in (0.0, 0.7, 2.5):
-        plus = phi_z(xi, grid)
-        minus = phi_z(xi, -grid)
-        np.testing.assert_allclose(plus, minus, atol=1e-12)
-        assert np.all(np.abs(plus) <= 1.0)
-        assert np.all(plus >= -0.5)
+        for d in np.linspace(0.0, 30.0, 400).tolist():
+            for plus, minus in zip(phi_z_both_paths(xi, d), phi_z_both_paths(xi, -d)):
+                assert abs(plus - minus) <= 1e-12
+                assert -0.5 <= plus <= 1.0
 
 
 def test_phi_z_thin():
@@ -238,10 +237,11 @@ def test_sinc_even_and_bounded(x):
 
 
 def test_sinc_array():
-    xs = np.array([0.0, math.pi, 2.5])
-    vals = sinc(xs)
-    assert vals.shape == (3,)
+    # the elements of an ndarray, numpy floats, one by one against numpy's sinc(x/pi)
+    xs = np.array([0.0, 1e-5, math.pi, 2.5, -40.0])
+    vals = [sinc(x) for x in xs]
     assert vals[0] == 1.0
+    np.testing.assert_allclose(vals, np.sinc(xs / np.pi), rtol=0, atol=1e-15)
 
 
 def test_overlap_phi_collinear_equal_waists():
@@ -310,7 +310,10 @@ def test_spectral_integral_rejects_bad_xi(xi):
                                       (1.0, 2e5)])
 def test_phi_z_rejects_bad_inputs(xi, dphi):
     with pytest.raises(ValidationError):
-        phi_z(xi, dphi)
+        phi_z_grid(xi, np.atleast_1d(dphi))
+    if np.ndim(dphi) == 0:
+        with pytest.raises(ValidationError):
+            phi_z(xi, dphi)
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.933, 2.0, 5.0])
@@ -320,7 +323,7 @@ def test_spectral_integral_matches_nested_quadrature(xi):
     assert spectral_integral_S(xi) == pytest.approx(spectral_integral_S_direct(xi), abs=1e-8)
 
 
-# far from the grid, where the ndarray kernel's cos(delta_phi u) rounds to ~4e-13;
+# far from the grid, where phi_z_grid's cos(delta_phi u) rounds to ~4e-13;
 # in the grid they would make that kernel tile ~1e5 nodes per row
 FAR_DELTA_PHI = [-1e3, 1e3, 1e4, -1e5, 1e5, 98205.35005496268]
 
@@ -330,10 +333,10 @@ XI_QAWO = [0.0, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.5, 6.4, 50.0, 1000.0]
 
 @pytest.mark.parametrize("xi, span", [(xi, 300.0) for xi in XI_QAWO] + [(0.5, 1000.0)])
 def test_phi_z_matches_adaptive_quadrature(xi, span):
-    # the ndarray path, each set of points as one array, against QAWO
+    # phi_z_grid, each set of points as one array, against QAWO
     for points in (np.linspace(-span, span, 601).tolist(), FAR_DELTA_PHI):
         ref = np.array([phi_z_qawo(xi, d) for d in points])
-        assert np.max(np.abs(phi_z(xi, np.array(points)) - ref)) < 1e-12
+        assert np.max(np.abs(phi_z_grid(xi, np.array(points)) - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("xi", XI_QAWO)
@@ -347,19 +350,19 @@ def test_phi_z_float_path_matches_adaptive_quadrature(xi):
 
 def test_phi_z_at_delta_phi_max_matches_sinc():
     # one node row here holds ~1e5 doubles, more than a whole cos block
-    dphi = np.array([-DELTA_PHI_MAX, -DELTA_PHI_MAX + 0.5, DELTA_PHI_MAX - 1.25, DELTA_PHI_MAX])
-    assert np.max(np.abs(phi_z(0.0, dphi) - phi_z_thin(dphi))) < 1e-12
+    dphi = [-DELTA_PHI_MAX, -DELTA_PHI_MAX + 0.5, DELTA_PHI_MAX - 1.25, DELTA_PHI_MAX]
+    assert np.max(np.abs(phi_z_grid(0.0, dphi) - [phi_z_thin(d) for d in dphi])) < 1e-12
     assert abs(phi_z(0.0, DELTA_PHI_MAX) - phi_z_thin(DELTA_PHI_MAX)) < 1e-12
 
 
 def test_stored_legendre_rule_is_leggauss_32():
     from numpy.polynomial.legendre import leggauss
 
-    from spdcgauss.modes import _legendre_rule
-    x, w = _legendre_rule()
+    from spdcgauss.modes import _GL_RULE
+    x, w = np.array(_GL_RULE).T  # the nodes > 0, mirrored into the full rule
     want_x, want_w = leggauss(32)
-    assert np.array_equal(x, want_x)
-    assert np.array_equal(w, want_w)
+    assert np.array_equal(np.concatenate((-x[::-1], x)), want_x)
+    assert np.array_equal(np.concatenate((w[::-1], w)), want_w)
 
 
 @pytest.mark.parametrize("xi", [0.0, 1e-6, 5e-3, 0.5, 2.0, 40.0])

@@ -6,14 +6,13 @@ import pytest
 
 import spdcgauss as sg
 from conftest import make_config, thin_crystal_rates
-from spdcgauss.constants import C_LIGHT, HBAR
+from spdcgauss.constants import HBAR
 from spdcgauss.errors import DegenerateDispersion, UnequalWaists, ValidationError
-from spdcgauss.modes import gamma_sweep, optimal_gamma, waist_scaling
+from spdcgauss.modes import gamma_sweep, optimal_gamma, phi_z_thin, waist_scaling
 from spdcgauss.rates import (
     SPECTRAL_POINTS,
     SPECTRAL_SPAN_DPHI,
     _delta_k_z,
-    _spectral_density_grid,
     closed_form_report,
     comparison_rows,
     experiment_comparison,
@@ -102,42 +101,33 @@ def test_spectral_samples_integrate_to_total():
     assert dphi[[0, -1]] == pytest.approx([-SPECTRAL_SPAN_DPHI, SPECTRAL_SPAN_DPHI], rel=1e-9)
 
 
-def test_spectral_density_positive_domain():
-    cfg = make_config()
-    with pytest.raises(ValidationError):
-        _spectral_density_grid(cfg, [-1.0])
-    with pytest.raises(ValidationError):
-        _spectral_density_grid(cfg, [cfg.pump.omega])
-
-
 def test_spectral_density_thin_crystal_consistency():
-    """Exact density / thin-crystal closed form = omega_s*omega_i/(wp^2/4)."""
+    """Exact density / thin-crystal closed form = omega_s*omega_i/(wp^2/4)
+    on every sampled row (both vanish together at the sinc zeros)."""
     cfg = make_config(theta_deg=0.0)
     density, _ = thin_crystal_rates(cfg)
     wp = cfg.pump.omega
-    for frac in (0.42, 0.47, 0.5 - 1e-4, 0.53):
-        ws = frac * wp
-        exact = _spectral_density_grid(cfg, [ws])[0]
+    rows = total_rate(cfg).spectral_samples.tolist()
+    top = max(exact for _, exact, _ in rows)
+    for ws, exact, _ in rows:
         thin = density(ws)
         expected = ws * (wp - ws) / (wp * wp / 4.0)
-        assert exact / thin == pytest.approx(expected, rel=1e-6)
+        assert exact == pytest.approx(thin * expected, rel=1e-6, abs=1e-12 * top)
 
 
 def test_spectral_density_sinc_zeros_and_peak():
+    # collinear: density / (omega_s omega_i) is sinc^2 of the delta_phi column
     cfg = make_config(theta_deg=0.0)
-    wp, l = cfg.pump.omega, cfg.crystal.length_l
-
-    def density(omega_s):
-        return _spectral_density_grid(cfg, [omega_s])[0]
-
-    slope = (cfg.signal.n - cfg.idler.n) / C_LIGHT * l / 2.0
-    dphi_center = (cfg.signal.n + cfg.idler.n - 2 * cfg.pump.n) * wp / (2 * C_LIGHT) * l / 2.0
-    w_match = wp / 2.0 - dphi_center / slope  # delta_phi = 0 here
-    peak = density(w_match)
-    for m in (1, 2, 3):
-        w_zero = w_match + m * math.pi / slope
-        assert density(w_zero) < 1e-12 * peak
-    assert density(w_match + 0.5 / slope) < peak
+    wp = cfg.pump.omega
+    omega, dens, dphi = total_rate(cfg).spectral_samples.T
+    shape = dens / (omega * (wp - omega))
+    peak = int(np.argmax(shape))
+    assert peak == SPECTRAL_POINTS // 2 and dphi[peak] == pytest.approx(0.0, abs=1e-6)
+    sinc2 = np.array([phi_z_thin(d) ** 2 for d in dphi.tolist()])
+    np.testing.assert_allclose(shape / shape[peak], sinc2 / sinc2[peak], rtol=1e-9, atol=1e-13)
+    for m in (-3, -2, -1, 1, 2, 3):
+        # the row nearest a sinc zero lies within half a row spacing (0.05) of it
+        assert shape[np.argmin(np.abs(dphi - m * math.pi))] < 3e-4 * shape[peak]
 
 
 def test_thin_crystal_rate_linearity():
