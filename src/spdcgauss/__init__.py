@@ -6,15 +6,15 @@ Submodules and exported names load on first access (PEP 562).
 
 import importlib
 
-_SUBMODULES = ("config", "constants", "errors", "materials", "modes", "rates")
+_SUBMODULES = ("config", "constants", "curves", "errors", "materials", "modes", "rates")
 _LAZY = {
     "config": ("builtin_config_path", "load_config"),
     "errors": ("ComputationError", "ConfigurationError", "DegenerateDispersion", "NegativeH",
                "OutOfRange", "OverwriteRefused", "ParseError", "SpdcGaussError",
                "UnequalWaists", "UnknownMaterial", "ValidationError"),
     "materials": ("CrystalSpec", "MaterialRecord", "SellmeierSet", "load_material_db"),
-    "modes": ("GaussianMode", "OverlapGeometry", "Role",
-              "gamma_sweep", "optimal_gamma", "waist_scaling"),
+    "curves": ("gamma_sweep", "optimal_gamma", "waist_scaling"),
+    "modes": ("GaussianMode", "OverlapGeometry", "Role"),
     "rates": ("AngleConvention", "PolarizationAssignment", "RateReport", "SourceConfig",
               "closed_form_report", "comparison_rows", "experiment_comparison", "total_rate"),
 }

@@ -9,8 +9,11 @@ byte-identical files.
 A refused input prints one stderr line, ``error LABEL: message``, and
 exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
 Only ``rate`` imports numpy, for its sampled spectrum; the other commands are
-closed forms or float math.  ``IMPORT_CONTRACT`` in ``tests/test_cli.py``
-states which modules each command loads.
+closed forms or float math.  The commands that need no source (``figures``,
+``spectrum``, ``sweep-xi`` and ``sweep-gamma``) run on :mod:`spdcgauss.curves`
+alone, without the geometry of :mod:`spdcgauss.modes` or ``dataclasses``.
+``IMPORT_CONTRACT`` in ``tests/test_cli.py`` states which modules each command
+loads.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import os
 import sys
 
-from . import modes
+from . import curves
 from .errors import OverwriteRefused, SpdcGaussError, ValidationError
 
 __all__ = ["main"]
@@ -33,6 +36,8 @@ FIG_GAMMA_RANGE = (0.1, 3.0, 581)
 
 # the most points a sweep grid or a spectrum table may hold
 MAX_POINTS = 10 ** 6
+# rows formatted per write of a CSV table
+_CSV_CHUNK = 4096
 
 
 def _checked_path(out_dir: str, name: str, force: bool) -> str:
@@ -44,15 +49,17 @@ def _checked_path(out_dir: str, name: str, force: bool) -> str:
 
 def _write_csv(out_dir, name, header, rows, force) -> str:
     """``rows``: a list of tuples or an (N, k) array; a cell is ``str`` of its Python
-    value.  A nonzero float is formatted once however often it repeats; zeros and
-    other types are not memoised, since 0.0 == -0.0 and 1 == 1.0 print differently."""
+    value.  ``_CSV_CHUNK`` rows at a time are formatted and written, so the text of
+    a large table is never held whole."""
     path = _checked_path(out_dir, name, force)
-    memo = {}
-    cells = [(memo[c] if c in memo else memo.setdefault(c, str(c))) if type(c) is float and c
-             else c for row in (rows if isinstance(rows, list) else rows.tolist()) for c in row]
     line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + (line * len(rows)) % tuple(cells))
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(rows), _CSV_CHUNK):
+            chunk = rows[i:i + _CSV_CHUNK]
+            if not isinstance(chunk, list):
+                chunk = chunk.tolist()
+            fh.write((line * len(chunk)) % tuple([c for row in chunk for c in row]))
     return name
 
 
@@ -96,20 +103,24 @@ def _xi_list(text):
 
 
 def _overlap_rows(xis, lo, hi, points):
-    grid = modes.uniform_grid(lo, hi, points)
+    """``(xi, delta_phi, Phi_z/l)`` rows; each curve is evaluated once per
+    distinct |delta_phi|, which is all that it reads."""
+    grid = curves.uniform_grid(lo, hi, points)
     rows = []
     for xi in xis:
-        curve = modes.phi_z_curve(xi)
-        rows += [(xi, d, curve(d)) for d in grid]
+        curve = curves.phi_z_curve(xi)
+        memo = {}
+        rows += [(xi, d, memo[a] if (a := abs(d)) in memo else memo.setdefault(a, curve(a)))
+                 for d in grid]
     return rows
 
 
 def _xi_rows(lo, hi, points):
-    return [(xi, modes.spectral_integral_S(xi)) for xi in modes.uniform_grid(lo, hi, points)]
+    return [(xi, curves.spectral_integral_S(xi)) for xi in curves.uniform_grid(lo, hi, points)]
 
 
 def _gamma_rows(lo, hi, points):
-    sweep = modes.gamma_sweep(lo, hi, points)
+    sweep = curves.gamma_sweep(lo, hi, points)
     rel = [r for _, r in sweep]
     top = rel.index(max(rel))  # the first maximum, as numpy's argmax
     return [(g, r, int(i == top)) for i, (g, r) in enumerate(sweep)]

@@ -15,17 +15,15 @@ dphi = K l/2 the accumulated longitudinal phase mismatch.  Collinear
 geometry (Xi = 0) reproduces the familiar sinc; large Xi is the
 overlap-limited regime where the crystal length drops out.
 
-Both numerical quantities have a fixed cost.  At a float dphi, Phi_z is
-a closed form in the Faddeeva function w, evaluated by Weideman's
-rational approximation (a power series in Xi^2 where Xi is small):
-phi_z and phi_z_curve.  phi_z_grid, the one array function, takes an
-ndarray of dphi and integrates an entire function over [0, 1] on a
-composite Gauss-Legendre rule whose panel count follows the largest phase
-and the Gaussian decay.  The spectral integral S(Xi) = int |Phi_z/l|^2
-d(dphi) is evaluated in closed form through Plancherel's identity.  The
-waist-ratio curve (through A) lives here too.  numpy loads inside
-phi_z_grid only, and never numpy.polynomial; everything else here is
-plain float math.
+At a float dphi, Phi_z is a closed form of :mod:`spdcgauss.curves`,
+which holds the model's dimensionless curves in float math (phi_z,
+phi_z_curve, their limits, S(Xi) and the waist-ratio curve); this module
+re-exports them, so ``from spdcgauss.modes import phi_z`` gives the same
+object.  phi_z_grid, the one array function, takes an ndarray of dphi and
+integrates an entire function over [0, 1] on a composite Gauss-Legendre
+rule whose panel count follows the largest phase and the Gaussian decay.
+numpy loads inside phi_z_grid only, and never numpy.polynomial;
+everything else here is plain float math.
 """
 
 from __future__ import annotations
@@ -34,6 +32,19 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .curves import (
+    DELTA_PHI_MAX,
+    _checked_delta_phi,
+    gamma_sweep,
+    optimal_gamma,
+    phi_z,
+    phi_z_curve,
+    phi_z_thick,
+    phi_z_thin,
+    spectral_integral_S,
+    uniform_grid,
+    waist_scaling,
+)
 from .errors import NegativeH, ValidationError
 
 __all__ = [
@@ -60,30 +71,6 @@ __all__ = [
 # floating-point cancellation and clamped to zero (1/m^2)
 H_CLAMP = 1e-18
 
-# largest |delta_phi| phi_z accepts: phi_z_grid's rule takes about |delta_phi|
-# nodes, so one overlap value costs at most ~1e5 cosines, one cos-block row of 0.8 MB
-DELTA_PHI_MAX = 1e5
-# below this Xi the closed form of phi_z_curve, which loses ~1e-16/Xi to cancellation,
-# gives way to its power series in Xi^2, whose first omitted term is below Xi^6/42
-_SERIES_XI = 1e-2
-# Weideman's N = 40 rational approximation of the Faddeeva function (SIAM J. Numer.
-# Anal. 31, 1497 (1994)): the scale L = sqrt(N/sqrt(2)) and the coefficients of the
-# polynomial in (L + iz)/(L - iz), highest power first, from his FFT recipe
-_WEIDEMAN_L = math.sqrt(40 / math.sqrt(2.0))
-_WEIDEMAN_COEFFS = (
-    -1.7356980998791865e-15, 1.201674910759281e-15, 1.1519170220749485e-14,
-    -5.231716366324404e-15, -7.071088022159408e-14, 1.3778224047664046e-14,
-    4.5341448909434655e-13, 1.203330952919568e-13, -2.90771851041427e-12,
-    -2.7277735625830245e-12, 1.771418567386718e-11, 3.4727420938907015e-11,
-    -9.055138860958323e-11, -3.5632350403602684e-10, 2.1085990731251058e-10,
-    3.017780425551564e-09, 3.249746582945079e-09, -1.8315616834296834e-08,
-    -6.351773483015411e-08, 1.419864237295343e-08, 5.912136953029057e-07,
-    1.4835661133172014e-06, -1.066013898416273e-06, -1.8007447144723407e-05,
-    -5.5913092642348794e-05, -3.939363145483805e-05, 0.000439807015986967,
-    0.002705405633073729, 0.010048186242783535, 0.02920291647124188, 0.07182361779074328,
-    0.15504263802479504, 0.2998943799615006, 0.5266528988277086, 0.8472174576593815,
-    1.2563815675765133, 1.7253830848179779, 2.201513794878312, 2.6160541527618597,
-    2.899624509389705)
 # phi_z_grid truncates its range where exp(-Xi^2 u^2) < 1e-27, at u = 8/Xi
 _GAUSS_CUTOFF = 8.0
 # rows of one cos(delta_phi u) block hold at most this many doubles (or one row)
@@ -210,27 +197,6 @@ def geometry_coefficients(
     return OverlapGeometry(A=A, C=C, D=D, F=F, H=H, Xi=Xi)
 
 
-def _checked_delta_phi(delta_phi) -> float:
-    d = abs(delta_phi)
-    if not d <= DELTA_PHI_MAX:
-        raise ValidationError(
-            f"delta_phi must be finite with |delta_phi| <= {DELTA_PHI_MAX:g}")
-    return d
-
-
-def phi_z(xi: float, delta_phi: float) -> float:
-    """Dimensionless longitudinal overlap
-
-        Phi_z / l = int_0^1 exp(-Xi^2 u^2) cos(delta_phi u) du
-
-    at a float ``delta_phi`` with ``|delta_phi| <= DELTA_PHI_MAX``: the
-    closed form of :func:`phi_z_curve`, in float math.  Equals
-    sinc(delta_phi) at Xi = 0 and (sqrt(pi)/(2 Xi)) erf(Xi) at delta_phi = 0.
-    :func:`phi_z_grid` evaluates an array of ``delta_phi``.
-    """
-    return phi_z_curve(xi)(delta_phi)
-
-
 def phi_z_grid(xi: float, delta_phi):
     """:func:`phi_z` over an array of ``delta_phi``, as a 1-D ndarray: a
     32-point Gauss-Legendre rule tiled over equal panels.  For Xi > 8 the
@@ -260,100 +226,6 @@ def phi_z_grid(xi: float, delta_phi):
         block = np.outer(arr[i:i + rows], u)
         out[i:i + rows] = np.cos(block, out=block) @ weights
     return out
-
-
-def _faddeeva_line(y: float):
-    """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) along the line
-    Im z = y >= 0, as a function of a float x = Re z: Weideman's N = 40
-    rational approximation
-
-        w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)),  Z = (L + iz)/(L - iz),
-
-    with ``p`` the polynomial of ``_WEIDEMAN_COEFFS``; L - iz = (L + y) - ix.
-    """
-    lm, lp = _WEIDEMAN_L - y, _WEIDEMAN_L + y
-    rsqrt_pi = 1.0 / math.sqrt(math.pi)
-
-    def w(x):
-        b = complex(lp, -x)
-        z = complex(lm, x) / b
-        p = 0.0
-        for a in _WEIDEMAN_COEFFS:
-            p = p * z + a
-        return (2.0 * p / b + rsqrt_pi) / b
-    return w
-
-
-def phi_z_curve(xi: float):
-    """:func:`phi_z` at fixed Xi as a function of a float ``delta_phi``,
-    in float math; the constants of Xi are computed once per curve.
-
-    Completing the square in the exponent gives, with x = delta_phi/(2 Xi),
-
-        Phi_z / l = sqrt(pi)/(2 Xi) [exp(-x^2) - Re(exp(-Xi^2 + i delta_phi) w(x + i Xi))]
-
-    with w the Faddeeva function (:func:`_faddeeva_line`).  Below Xi =
-    ``_SERIES_XI`` the two terms cancel to within ~1e-16/Xi of each other,
-    and the power series
-
-        sinc(delta_phi) - Xi^2 M2 + Xi^4 M4 / 2,  M_n = int_0^1 u^n cos(delta_phi u) du
-
-    takes over (M2 and M4 by their Taylor series for |delta_phi| < 1e-2).
-    The curve is exactly even: it evaluates |delta_phi|.
-    """
-    if not 0 <= xi < math.inf:
-        raise ValidationError("Xi must be finite and >= 0")
-    if xi < _SERIES_XI:
-        xi2 = xi * xi
-        xi4_half = 0.5 * xi2 * xi2
-
-        def curve(delta_phi):
-            d = _checked_delta_phi(delta_phi)
-            d2 = d * d
-            if d < 1e-2:  # the closed forms of M2 and M4 cancel here
-                return (1.0 - d2 / 6.0 + d2 * d2 / 120.0 - xi2 * (1.0 / 3.0 - 0.1 * d2)
-                        + xi4_half * (0.2 - d2 / 14.0))
-            s, c = math.sin(d), math.cos(d)
-            m2 = ((d2 - 2.0) * s + 2.0 * d * c) / (d2 * d)
-            m4 = ((d2 * d2 - 12.0 * d2 + 24.0) * s + (4.0 * d2 - 24.0) * d * c) / (d2 * d2 * d)
-            return s / d - xi2 * m2 + xi4_half * m4
-        return curve
-    scale = 0.5 * math.sqrt(math.pi) / xi  # sqrt(pi)/(2 Xi), finite up to the float maximum
-    half_inv = 0.5 / xi
-    damping = math.exp(-xi * xi)
-    w = _faddeeva_line(xi)
-
-    def curve(delta_phi):
-        d = _checked_delta_phi(delta_phi)
-        x = d * half_inv
-        wx = w(x)
-        return scale * (math.exp(-x * x)
-                        - damping * (math.cos(d) * wx.real - math.sin(d) * wx.imag))
-    return curve
-
-
-def phi_z_thin(delta_phi: float) -> float:
-    """Thin-crystal (collinear) limit: Phi_z / l = sinc(delta_phi)
-    = sin(delta_phi)/delta_phi, with sinc(0) = 1, at a float ``delta_phi``.
-    (Unlike numpy.sinc there is no factor of pi in the argument.)
-    """
-    if abs(delta_phi) < 1e-4:
-        return 1.0 - delta_phi * delta_phi / 6.0
-    return math.sin(delta_phi) / delta_phi
-
-
-def phi_z_thick(xi: float) -> float:
-    """Walk-off-dominated value at zero phase mismatch,
-
-        Phi_z / l = (sqrt(pi) / (2 Xi)) erf(Xi).
-
-    This is the exact delta_phi = 0 value for any Xi > 0; it is the
-    full story only in the large-Xi regime where the crystal length
-    ceases to matter.
-    """
-    if not xi > 0:
-        raise ValidationError("Xi must be > 0 (use phi_z for the Xi=0 limit)")
-    return math.sqrt(math.pi) / (2.0 * xi) * math.erf(xi)
 
 
 def longitudinal_k(geom: OverlapGeometry, delta_k_y: float, delta_k_z: float) -> float:
@@ -387,82 +259,3 @@ def overlap_phi(
     transverse = math.pi / math.sqrt(geom.A * geom.C) \
         * math.exp(-delta_k_y ** 2 / (4.0 * geom.C))
     return transverse * crystal_length_l * phi_z(geom.Xi, dphi)
-
-
-def spectral_integral_S(xi: float) -> float:
-    """Spectral integral S(Xi) = int |Phi_z/l|^2 d(delta_phi) over the
-    whole real line.
-
-    Phi_z/l is half the Fourier transform of the even weight
-    exp(-Xi^2 u^2) on [-1, 1], so by Plancherel's identity
-
-        S(Xi) = pi int_0^1 exp(-2 Xi^2 u^2) du
-              = pi^{3/2} erf(sqrt2 Xi) / (2 sqrt2 Xi),
-
-    with S = pi (the thin-crystal anchor) for Xi < 1e-8.  S decreases
-    monotonically with Xi.  ``xi`` is a scalar; plain float math, no numpy.
-    """
-    if not 0 <= xi < math.inf:
-        raise ValidationError("Xi must be finite and >= 0")
-    if xi < 1e-8:
-        return math.pi
-    r2 = math.sqrt(2.0)
-    return math.pi ** 1.5 * math.erf(r2 * xi) / (2.0 * r2 * xi)
-
-
-def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
-    """Thin-crystal waist dependence of the total rate (relative units),
-
-        1 / (Wp^2 Ws^2 Wi^2 A^2),  A = 1/Wp^2 + 1/Ws^2 + 1/Wi^2
-
-    with A the overlap coefficient of :func:`geometry_coefficients`;
-    symmetric under any permutation of the three waists, which are
-    scalars.  A product or quotient beyond the float range raises an
-    ``ArithmeticError``.
-    """
-    if min(waist_wp, waist_ws, waist_wi) <= 0:
-        raise ValidationError("waists must be > 0")
-    wp2, ws2, wi2 = waist_wp * waist_wp, waist_ws * waist_ws, waist_wi * waist_wi
-    s = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
-    rate = 1.0 / (wp2 * ws2 * wi2 * s * s)
-    if rate == 0.0:  # only an intermediate that overflowed to inf gives 0
-        raise OverflowError(f"waist_scaling({waist_wp!r}, {waist_ws!r}, {waist_wi!r}) "
-                            "leaves the float range")
-    return rate
-
-
-def optimal_gamma() -> float:
-    """Pump-to-collection waist ratio maximizing the pair rate, 1/sqrt(2):
-    d/dgamma (1/gamma + 2 gamma)^-2 = 2 (1/gamma^2 - 2) (1/gamma + 2 gamma)^-3
-    vanishes only at gamma^2 = 1/2."""
-    return 1.0 / math.sqrt(2.0)
-
-
-def uniform_grid(lo: float, hi: float, points: int) -> list:
-    """``points`` >= 2 evenly spaced floats from ``lo`` to ``hi``, bit-equal
-    to ``numpy.linspace(lo, hi, points)``: ``i*step + lo`` with the last
-    point ``hi``.  A range whose spacing leaves the float range raises
-    ``OverflowError``, where numpy would overflow under ``np.errstate``."""
-    div = points - 1
-    delta = hi - lo
-    step = delta / div
-    if not math.isfinite(div * step + lo):  # numpy computes this point, then sets it to hi
-        raise OverflowError(f"the grid spacing of [{lo!r}, {hi!r}] leaves the float range")
-    if step == 0.0:  # a spacing below the smallest subnormal: numpy divides first
-        return [i / div * delta + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
-
-
-def gamma_sweep(gamma_min: float, gamma_max: float, points: int) -> list:
-    """Uniform sweep of the relative rate versus gamma = Wp/W, normalized
-    to a maximum of 1: :func:`waist_scaling` at Wp = gamma W, Ws = Wi = W
-    (the W^-2 scale divides out).  Returns a list of ``points``
-    ``[gamma, relative_rate]`` rows on :func:`uniform_grid`."""
-    if not (0 < gamma_min < gamma_max < math.inf):
-        raise ValidationError("require 0 < gamma_min < gamma_max, both finite")
-    if points < 2:
-        raise ValidationError("points must be >= 2")
-    gammas = uniform_grid(gamma_min, gamma_max, points)
-    rates = [waist_scaling(g, 1.0, 1.0) for g in gammas]
-    top = max(rates)
-    return [[g, r / top] for g, r in zip(gammas, rates)]

@@ -297,14 +297,18 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     # the efficiency per sr beyond the float range, for R_T and for the thin-crystal rate
     ["rate", "--set", "collection.solid_angle_sr=1e-322"],
     ["compare-experiment", "--set", "collection.solid_angle_sr=1e-320"],
+    # a pump waist whose square underflows, at the small end of the waist-ratio sweep
+    ["sweep-gamma", "--gamma-min", "1e-170", "--gamma-max", "1"],
 ], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow",
-        "efficiency-overflow", "thin-efficiency-overflow"])
+        "efficiency-overflow", "thin-efficiency-overflow", "gamma-underflow"])
 def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
-    code = main(argv + ["--config", sg.builtin_config_path(), "--out", out])
+    source = ["--config", sg.builtin_config_path()] if argv[0] != "sweep-gamma" else []
+    code = main(argv + source + ["--out", out])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error NUMERICAL:")
+    assert "division by zero" not in err[0]  # the library's message, not Python's
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,16 +359,20 @@ def run_child(*args, cwd=None):
 # material database and a config with overrides), the exit code and stderr, the
 # modules that must not load and those that must.
 SOURCE_MODULES = ("spdcgauss.config", "spdcgauss.materials", "spdcgauss.rates")
+# the commands without a source run on the float curves alone: no geometry records
+GEOMETRY_MODULES = ("dataclasses", "inspect", "spdcgauss.modes")
 IMPORT_CONTRACT = [
     pytest.param(None, 0, "", ("numpy",), (), id="library"),
     pytest.param(["--help"], 0, "", ("numpy",), (), id="help"),
     pytest.param(["rate", "--config", sg.builtin_config_path(), "--set", "pump.waist_um=-50"],
                  2, "error VALIDATION: pump.waist must be finite and > 0\n", ("numpy",), (),
                  id="refused"),
-    pytest.param(["figures"], 0, "", ("numpy", "numpy.polynomial", "scipy", *SOURCE_MODULES),
-                 (), id="figures"),
-    *(pytest.param([command], 0, "", ("numpy", "numpy.polynomial", *SOURCE_MODULES), (),
-                   id=command) for command in ("spectrum", "sweep-xi", "sweep-gamma")),
+    pytest.param(["figures"], 0, "", ("numpy", "numpy.polynomial", "scipy", *SOURCE_MODULES,
+                                      *GEOMETRY_MODULES), ("spdcgauss.curves",), id="figures"),
+    *(pytest.param([command], 0, "",
+                   ("numpy", "numpy.polynomial", *SOURCE_MODULES, *GEOMETRY_MODULES),
+                   ("spdcgauss.curves",), id=command)
+      for command in ("spectrum", "sweep-xi", "sweep-gamma")),
     pytest.param(["compare-experiment", "--config", sg.builtin_config_path()],
                  0, "", ("numpy",), SOURCE_MODULES, id="compare-experiment"),
     pytest.param(["rate", "--config", sg.builtin_config_path()], 0, "",
@@ -512,6 +520,38 @@ def test_write_csv_matches_row_join(tmp_path):
         assert _write_csv(str(tmp_path), f"t{i}.csv", header, rows, False) == f"t{i}.csv"
         with open(tmp_path / f"t{i}.csv", encoding="utf-8", newline="") as fh:
             assert fh.read() == _csv_by_row_join(header, rows)
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # the rows are formatted a chunk at a time: no whole-table text or cell tuple
+    import tracemalloc
+    from spdcgauss.cli import _write_csv
+    rows = [(i + 0.1, i / 7.0 + 1e-3, -i * 1.1e-9) for i in range(200_000)]
+    tracemalloc.start()
+    try:
+        _write_csv(str(tmp_path), "big.csv", ["a", "b", "c"], rows, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, peak
+    with open(tmp_path / "big.csv", encoding="utf-8", newline="") as fh:
+        assert fh.read() == _csv_by_row_join(["a", "b", "c"], rows)
+
+
+# the figure grid, whose middle point is 0.0; an asymmetric one; one starting at -0.0
+@pytest.mark.parametrize("lo, hi, points", [(-15.0, 15.0, 2001), (-7.3, 41.9, 1001),
+                                            (-0.0, 3.0, 31)],
+                         ids=["symmetric", "asymmetric", "negative-zero"])
+def test_overlap_rows_equal_the_curve_at_every_point(lo, hi, points):
+    # one evaluation per distinct |delta_phi| gives each point's value exactly
+    from spdcgauss.cli import _overlap_rows
+    from spdcgauss.curves import phi_z_curve, uniform_grid
+    xis = (0.0, 1e-3, 0.5, 4.0)  # the series branch and the Faddeeva branch
+    grid = uniform_grid(lo, hi, points)
+    want = [(xi, d, phi_z_curve(xi)(d)) for xi in xis for d in grid]
+    got = _overlap_rows(xis, lo, hi, points)
+    assert [(xi, d.hex(), v.hex()) for xi, d, v in got] == \
+        [(xi, d.hex(), v.hex()) for xi, d, v in want]
 
 
 def test_rate_spectrum_csv_is_the_total_rate_table(tmp_path):

@@ -374,7 +374,7 @@ def test_phi_z_float_path_is_exactly_even(xi):
 def test_faddeeva_matches_scipy_wofz():
     # the half-plane phi_z_curve reaches: Im z = Xi in [1e-2, 27], where exp(-Xi^2)
     # has not underflowed, and Re z = |delta_phi|/(2 Xi) up to 5e6
-    from spdcgauss.modes import _faddeeva_line
+    from spdcgauss.curves import _faddeeva_line
     x = np.concatenate((np.linspace(0.0, 60.0, 601), np.geomspace(60.0, 5e6, 61)))
     for y in (1e-2, 0.05, 0.3, 1.0, 2.0, 4.0, 8.0, 27.0):
         w = _faddeeva_line(y)
@@ -385,7 +385,7 @@ def test_faddeeva_matches_scipy_wofz():
 
 def test_stored_weideman_coefficients_follow_the_fft_recipe():
     # Weideman (1994): a_n from the FFT of exp(-t^2) (L^2 + t^2) at t = L tan(theta/2)
-    from spdcgauss.modes import _WEIDEMAN_COEFFS, _WEIDEMAN_L
+    from spdcgauss.curves import _WEIDEMAN_COEFFS, _WEIDEMAN_L
     n = len(_WEIDEMAN_COEFFS)
     m = 2 * n
     assert n == 40 and _WEIDEMAN_L == math.sqrt(n / math.sqrt(2))
@@ -412,3 +412,12 @@ def test_uniform_grid_overflows_where_linspace_does(lo, hi):
         np.linspace(lo, hi, 5)
     with pytest.raises(OverflowError):
         uniform_grid(lo, hi, 5)
+
+
+def test_modes_reexports_the_curves():
+    # the float curves live in curves; modes binds the same objects under its own name
+    import spdcgauss.curves as curves
+    import spdcgauss.modes as modes
+    assert set(curves.__all__) < set(modes.__all__)
+    for name in (*curves.__all__, "DELTA_PHI_MAX"):
+        assert getattr(modes, name) is getattr(curves, name), name

@@ -288,8 +288,9 @@ def test_gamma_sweep_matches_array_formula():
 
 
 def test_waist_scaling_beyond_float_range_raises():
-    for waists in ((1e-160, 1.0, 1.0), (1e200, 1.0, 1.0)):
-        with pytest.raises(OverflowError):
+    # too large or too small: a square or product that overflows, one that underflows
+    # to 0 (a division by zero), and an inf * 0 that makes nan
+    for waists in ((1e-160, 1.0, 1.0), (1e200, 1.0, 1.0), (1e-170, 1.0, 1.0),
+                   (1e-300, 1.0, 1.0), (1e-100, 1e-100, 1e-100), (1e200, 1e200, 1e200)):
+        with pytest.raises(OverflowError, match=r"waist_scaling\(.*\) leaves the float range"):
             waist_scaling(*waists)
-    with pytest.raises(ZeroDivisionError):
-        waist_scaling(1e-300, 1.0, 1.0)
