@@ -218,7 +218,7 @@ def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
         rate = 1.0 / (wp2 * ws2 * wi2 * s * s)
     except ZeroDivisionError:  # a square or the product underflowed to 0
         rate = 0.0
-    if not 0.0 < rate < math.inf:  # 0 or nan: an intermediate overflowed to inf
+    if not 0.0 < rate < math.inf:  # 0, inf or nan: an intermediate left the float range
         raise OverflowError(f"waist_scaling({waist_wp!r}, {waist_ws!r}, {waist_wi!r}) "
                             "leaves the float range")
     return rate
