@@ -11,9 +11,10 @@ exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
 Only ``rate`` imports numpy, for its sampled spectrum; the other commands are
 closed forms or float math.  The commands that need no source (``figures``,
 ``spectrum``, ``sweep-xi`` and ``sweep-gamma``) run on :mod:`spdcgauss.curves`
-alone, without the geometry of :mod:`spdcgauss.modes` or ``dataclasses``.
-``IMPORT_CONTRACT`` in ``tests/test_cli.py`` states which modules each command
-loads.
+alone, without the geometry of :mod:`spdcgauss.modes`; the records are named
+tuples, so no command loads ``dataclasses``.  ``IMPORT_CONTRACT`` in
+``tests/test_cli.py`` states which modules each command loads.  Tables are
+streamed to their CSV files, a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 
 from . import curves
 from .errors import OverwriteRefused, SpdcGaussError, ValidationError
@@ -48,17 +50,15 @@ def _checked_path(out_dir: str, name: str, force: bool) -> str:
 
 
 def _write_csv(out_dir, name, header, rows, force) -> str:
-    """``rows``: a list of tuples or an (N, k) array; a cell is ``str`` of its Python
-    value.  ``_CSV_CHUNK`` rows at a time are formatted and written, so the text of
-    a large table is never held whole."""
+    """``rows``: an iterable of tuples, or an (N, k) array; a cell is ``str`` of its
+    Python value.  ``_CSV_CHUNK`` rows at a time are taken, formatted and written, so
+    neither the text of a large table nor the rows of a generator are held whole."""
     path = _checked_path(out_dir, name, force)
     line = ",".join(["%s"] * len(header)) + "\n"
+    rows = iter(rows.tolist() if hasattr(rows, "tolist") else rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(rows), _CSV_CHUNK):
-            chunk = rows[i:i + _CSV_CHUNK]
-            if not isinstance(chunk, list):
-                chunk = chunk.tolist()
+        while chunk := list(islice(rows, _CSV_CHUNK)):
             fh.write((line * len(chunk)) % tuple([c for row in chunk for c in row]))
     return name
 
@@ -103,16 +103,20 @@ def _xi_list(text):
 
 
 def _overlap_rows(xis, lo, hi, points):
-    """``(xi, delta_phi, Phi_z/l)`` rows; each curve is evaluated once per
-    distinct |delta_phi|, which is all that it reads."""
+    """Yields the ``(xi, delta_phi, Phi_z/l)`` rows.  A curve reads |delta_phi| only,
+    so each value is memoised; the memo is cleared once it holds ``_CSV_CHUNK``, which
+    keeps every reuse on the figure grid (1541 distinct |delta_phi| of 2001 points)."""
     grid = curves.uniform_grid(lo, hi, points)
-    rows = []
     for xi in xis:
         curve = curves.phi_z_curve(xi)
         memo = {}
-        rows += [(xi, d, memo[a] if (a := abs(d)) in memo else memo.setdefault(a, curve(a)))
-                 for d in grid]
-    return rows
+        for d in grid:
+            value = memo.get(a := abs(d))
+            if value is None:
+                if len(memo) == _CSV_CHUNK:
+                    memo.clear()
+                value = memo[a] = curve(a)
+            yield xi, d, value
 
 
 def _xi_rows(lo, hi, points):

@@ -16,7 +16,7 @@ the geometry and the ndarray overlap kernel.
 
 This module imports only ``math`` and :mod:`spdcgauss.errors`, so the CLI
 commands that need no source (``figures``, ``spectrum``, ``sweep-xi`` and
-``sweep-gamma``) load neither the geometry records nor ``dataclasses``.
+``sweep-gamma``) load no geometry record.
 """
 
 from __future__ import annotations

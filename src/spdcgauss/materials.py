@@ -5,14 +5,15 @@ longitudinal wave-vector mismatch.
 Dispersion coefficients are not hard-coded; they ship in a versioned JSON
 database (``data/materials.json``) with the literature source recorded
 next to the numbers.  Evaluation outside a model's validity window is an
-error, never an extrapolation.
+error, never an extrapolation.  The records are named tuples; SellmeierSet
+and CrystalSpec check their fields when built, by ``_replace`` too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .constants import C_LIGHT
@@ -36,8 +37,7 @@ __all__ = [
 DISPERSION_EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
-class SellmeierSet:
+class SellmeierSet(namedtuple("SellmeierSet", "coefficients valid_range_m")):
     """One polarization branch of n^2(lambda) in the pole-quadratic form
 
         n^2 = c0 + c1/(lam^2 - c2) - c3 lam^2,   lam in micrometres,
@@ -46,10 +46,10 @@ class SellmeierSet:
     (min, max) vacuum wavelength in metres.
     """
 
-    coefficients: tuple
-    valid_range_m: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         lo, hi = self.valid_range_m
         if not 0 < lo < hi:
             raise ValidationError("valid_range must satisfy 0 < min < max")
@@ -58,6 +58,9 @@ class SellmeierSet:
             lam = lo + (hi - lo) * i / 32
             if not self.n_sq(lam) > 1.0:
                 raise ValidationError(f"n^2(lambda) <= 1 at {lam * 1e9:.1f} nm")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its result
 
     def n_sq(self, lambda_vac_m: float) -> float:
         lo, hi = self.valid_range_m
@@ -75,35 +78,27 @@ class SellmeierSet:
         return math.sqrt(self.n_sq(lambda_vac_m))
 
 
-@dataclass(frozen=True)
-class MaterialRecord:
-    """Material constants as shipped in the database (no geometry)."""
+class MaterialRecord(namedtuple("MaterialRecord", "name ordinary extraordinary d22_m_per_v "
+                                                  "source_citation")):
+    """Material constants as shipped in the database (no geometry): two
+    :class:`SellmeierSet` branches and d22 in m/V."""
 
-    name: str
-    ordinary: SellmeierSet
-    extraordinary: SellmeierSet
-    d22_m_per_v: float
-    source_citation: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CrystalSpec:
+class CrystalSpec(namedtuple("CrystalSpec", "name ordinary extraordinary d22_m_per_v "
+                                            "length_l theta_c phi_c")):
     """A cut and sized uniaxial crystal.
 
     theta_c is the angle between the pump wave vector and the optic
-    axis, phi_c the azimuthal angle; length_l the thickness along the
-    pump direction.
+    axis, phi_c the azimuthal angle (radians); length_l the thickness
+    along the pump direction (m).
     """
 
-    name: str
-    ordinary: SellmeierSet
-    extraordinary: SellmeierSet
-    d22_m_per_v: float
-    length_l: float
-    theta_c: float
-    phi_c: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.length_l < math.inf:
             raise ValidationError("crystal length_l must be finite and > 0")
         if not math.isfinite(self.d22_m_per_v):
@@ -112,6 +107,9 @@ class CrystalSpec:
             raise ValidationError("theta_c must lie in [0, pi/2]")
         if not 0 <= self.phi_c < 2 * math.pi:
             raise ValidationError("phi_c must lie in [0, 2*pi)")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_material(cls, mat: MaterialRecord, length_l, theta_c, phi_c):
@@ -139,7 +137,8 @@ def load_material_db(path=None) -> dict:
     model evaluates is ``"3m_d22"``, d22 cos^2(theta_c) cos(3 phi_c).
     """
     if path is None:
-        text = resources.files("spdcgauss").joinpath("data/materials.json").read_text()
+        text = resources.files("spdcgauss").joinpath("data/materials.json") \
+            .read_text(encoding="utf-8")
         where = "<builtin materials.json>"
     else:
         try:

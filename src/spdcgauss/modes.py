@@ -23,14 +23,15 @@ object.  phi_z_grid, the one array function, takes an ndarray of dphi and
 integrates an entire function over [0, 1] on a composite Gauss-Legendre
 rule whose panel count follows the largest phase and the Gaussian decay.
 numpy loads inside phi_z_grid only, and never numpy.polynomial;
-everything else here is plain float math.
+everything else here is plain float math.  GaussianMode and OverlapGeometry
+are named tuples that check their fields when built, by ``_replace`` too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curves import (
     DELTA_PHI_MAX,
@@ -93,10 +94,9 @@ class Role(str, enum.Enum):
     IDLER = "idler"
 
 
-@dataclass(frozen=True)
-class GaussianMode:
-    """One paraxial beam: waist, vacuum wavelength, internal tilt,
-    refractive index seen by the mode, and its role.
+class GaussianMode(namedtuple("GaussianMode", "waist_w lambda_vac theta n role")):
+    """One paraxial beam: waist (m), vacuum wavelength (m), internal tilt
+    (rad), refractive index seen by the mode, and its :class:`Role`.
 
     ``theta`` is the tilt of the mode axis relative to the pump axis in
     crystal coordinates; the signal tilts one way, the idler the other
@@ -105,13 +105,10 @@ class GaussianMode:
     and must have theta = 0.
     """
 
-    waist_w: float
-    lambda_vac: float
-    theta: float
-    n: float
-    role: Role
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.waist_w < math.inf:
             raise ValidationError(f"{self.role.value}.waist must be finite and > 0")
         if not 0 < self.lambda_vac < math.inf:
@@ -122,6 +119,9 @@ class GaussianMode:
             raise ValidationError(f"{self.role.value}.theta must be finite")
         if self.role is Role.PUMP and self.theta != 0.0:
             raise ValidationError("pump tilt must be 0 (pump defines the z-axis)")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its result
 
     @property
     def omega(self) -> float:
@@ -129,24 +129,22 @@ class GaussianMode:
         return 2.0 * math.pi * C_LIGHT / self.lambda_vac
 
 
-@dataclass(frozen=True)
-class OverlapGeometry:
+class OverlapGeometry(namedtuple("OverlapGeometry", "A C D F H Xi")):
     """Quadratic-form coefficients of the three-mode overlap (1/m^2 for
     A, C, D, F, H), plus the derived dimensionless walk-off parameter
     Xi = sqrt(H) l/2."""
 
-    A: float
-    C: float
-    D: float
-    F: float
-    H: float
-    Xi: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.A >= self.C > 0):
             raise ValidationError("require A >= C > 0")
         if self.F < 0 or self.H < 0 or self.Xi < 0:
             raise ValidationError("F, H and Xi must be >= 0")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def normalization_alpha(waist_w: float) -> float:
@@ -173,22 +171,29 @@ def geometry_coefficients(
 
     H >= 0 holds exactly (Cauchy-Schwarz); a tiny negative H from
     cancellation is clamped, anything below -H_CLAMP raises
-    :class:`NegativeH`.
+    :class:`NegativeH`.  Waists whose squares or their reciprocals leave
+    the float range, large or small, raise ``OverflowError``.
     """
     if pump.role is not Role.PUMP or signal.role is not Role.SIGNAL \
             or idler.role is not Role.IDLER:
         raise ValidationError("modes must be passed as (pump, signal, idler)")
     if not crystal_length_l > 0:
         raise ValidationError("crystal length must be > 0")
-    wp2 = pump.waist_w ** 2
-    ws2 = signal.waist_w ** 2
-    wi2 = idler.waist_w ** 2
     ths, thi = signal.theta, idler.theta
-    A = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
-    C = 1.0 / wp2 + math.cos(ths) ** 2 / ws2 + math.cos(thi) ** 2 / wi2
-    D = math.sin(2.0 * ths) / ws2 - math.sin(2.0 * thi) / wi2
-    F = math.sin(ths) ** 2 / ws2 + math.sin(thi) ** 2 / wi2
-    H = F - D * D / (4.0 * C)
+    try:
+        wp2 = pump.waist_w ** 2
+        ws2 = signal.waist_w ** 2
+        wi2 = idler.waist_w ** 2
+        A = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
+        C = 1.0 / wp2 + math.cos(ths) ** 2 / ws2 + math.cos(thi) ** 2 / wi2
+        D = math.sin(2.0 * ths) / ws2 - math.sin(2.0 * thi) / wi2
+        F = math.sin(ths) ** 2 / ws2 + math.sin(thi) ** 2 / wi2
+        H = F - D * D / (4.0 * C)
+    except (OverflowError, ZeroDivisionError):  # a square overflowed, or underflowed to 0
+        A = H = math.inf
+    if not (math.isfinite(A) and math.isfinite(H)):  # a 1/W^2 or D^2 overflowed
+        raise OverflowError(f"the overlap coefficients of waists {pump.waist_w!r}, "
+                            f"{signal.waist_w!r}, {idler.waist_w!r} m leave the float range")
     if H < 0.0:
         if H < -H_CLAMP:
             raise NegativeH(f"H = {H:.3e} 1/m^2; inconsistent geometry inputs")

@@ -5,23 +5,22 @@ rate as its collinear value) and efficiency figures.
 Everything is evaluated at fixed nominal refractive indices (taken at
 the pump and degenerate daughter wavelengths) -- the indices sit outside
 the spectral integral in this model.  Transverse phase matching is taken
-as perfect (delta_k_y = 0) throughout the rate expressions.
+as perfect (delta_k_y = 0) throughout the rate expressions.  The records are
+named tuples; SourceConfig and RateReport check their fields when built,
+by ``_replace`` too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from . import materials, modes
 from .constants import C_LIGHT, EPSILON_0, HBAR
 from .errors import ComputationError, UnequalWaists, ValidationError
-from .materials import CrystalSpec, dispersion_factor, effective_nonlinearity_bbo
-from .modes import GaussianMode, geometry_coefficients, spectral_integral_S
-if TYPE_CHECKING:
-    import numpy as np
+from .materials import dispersion_factor, effective_nonlinearity_bbo
+from .modes import geometry_coefficients, spectral_integral_S
 
 __all__ = [
     "AngleConvention",
@@ -65,9 +64,12 @@ class PolarizationAssignment(str, enum.Enum):
     SIGNAL_EXTRAORDINARY = "signal_extraordinary"
 
 
-@dataclass(frozen=True)
-class SourceConfig:
-    """Full description of one photon-pair source.
+class SourceConfig(namedtuple("SourceConfig", (
+        "pump_power_p pump signal idler crystal external_collection_angle angle_convention "
+        "collection_solid_angle_sr pair_to_singles_ratio decay_path_multiplicity "
+        "reference_values"), defaults=(None, None, 2, None))):
+    """Full description of one photon-pair source, in SI units (W, rad, sr);
+    ``reference_values`` is a dict, a new one for each config built without.
 
     The three ``GaussianMode`` entries arrive fully resolved: internal
     tilt angles per the chosen angle convention and refractive indices
@@ -77,19 +79,12 @@ class SourceConfig:
     wavelengths must equal twice the pump wavelength.
     """
 
-    pump_power_p: float
-    pump: GaussianMode
-    signal: GaussianMode
-    idler: GaussianMode
-    crystal: CrystalSpec
-    external_collection_angle: float
-    angle_convention: AngleConvention
-    collection_solid_angle_sr: float | None = None
-    pair_to_singles_ratio: float | None = None
-    decay_path_multiplicity: int = 2
-    reference_values: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        if len(args) < len(cls._fields):  # a dict of its own for each config
+            kwargs.setdefault("reference_values", {})
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.pump_power_p < math.inf:
             raise ValidationError("pump_power must be finite and > 0")
         if self.collection_solid_angle_sr is not None \
@@ -105,40 +100,40 @@ class SourceConfig:
                     f"{m.role.value}.wavelength: degenerate operation requires "
                     f"2 x pump wavelength ({lam_d * 1e9:.2f} nm)"
                 )
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its result
 
     @property
     def d_eff(self) -> float:
         return effective_nonlinearity_bbo(self.crystal)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(namedtuple("RateReport", "Xi S R_T R_T_thin spectral_samples "
+                                          "efficiency_per_mm efficiency_per_mm_sr warnings")):
     """Computed quantities with units.
 
     R_T and R_T_thin are pairs/s into the two collection modes (R_T_thin,
-    the thin-crystal rate, only for collinear collection);
-    spectral_samples is a (SPECTRAL_POINTS, 3) float array whose columns
+    the thin-crystal rate, only for collinear collection, else None);
+    spectral_samples is a (SPECTRAL_POINTS, 3) float ndarray whose columns
     are omega_s [rad/s], dR/domega_s [pairs s/rad /s] and the phase
     mismatch delta_phi = delta_k_z l/2 from :func:`total_rate`, and None
     from :func:`closed_form_report`;
     efficiency_per_mm is pairs per pump photon per mm of crystal,
-    R_T * hbar*omega_p / (P * l_mm).
+    R_T * hbar*omega_p / (P * l_mm), and efficiency_per_mm_sr that per sr.
     """
 
-    Xi: float
-    S: float
-    R_T: float
-    R_T_thin: float | None
-    spectral_samples: np.ndarray | None
-    efficiency_per_mm: float
-    efficiency_per_mm_sr: float | None
-    warnings: list
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.R_T < 0 or (self.R_T_thin is not None and self.R_T_thin < 0):
             raise ValidationError("rates must be >= 0")
         if not (0.0 < self.S <= math.pi + 1e-6):  # float headroom at the S=pi anchor
             raise ValidationError(f"S = {self.S} outside (0, pi]")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def pump_amplitude_sq(power_p: float, waist_wp: float, n_p: float) -> float:
@@ -344,15 +339,11 @@ def total_rate(config: SourceConfig) -> RateReport:
         report.warnings.append(f"only {distinct} of the {SPECTRAL_POINTS} sampled signal "
                                "frequencies are distinct: the crystal is too long for the "
                                "float spacing of omega_s")
-    return replace(report, spectral_samples=np.column_stack((grid, density, dphi)))
+    return report._replace(spectral_samples=np.column_stack((grid, density, dphi)))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    quantity: str
-    model: float
-    reference: float | None
-    rel_deviation: float | None
+# reference and rel_deviation are None where the config gives no reference value
+ComparisonRow = namedtuple("ComparisonRow", "quantity model reference rel_deviation")
 
 
 def comparison_rows(config: SourceConfig, report: RateReport) -> list:

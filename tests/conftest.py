@@ -38,8 +38,7 @@ def make_config(
     db = material_db or sg.load_material_db()
     mat = db["BBO"]
     if d22_scale != 1.0:
-        import dataclasses
-        mat = dataclasses.replace(mat, d22_m_per_v=mat.d22_m_per_v * d22_scale)
+        mat = mat._replace(d22_m_per_v=mat.d22_m_per_v * d22_scale)
     crystal = sg.CrystalSpec.from_material(
         mat, length_l=length_mm * 1e-3,
         theta_c=math.radians(49.7), phi_c=math.radians(60.0))

@@ -299,8 +299,14 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     ["compare-experiment", "--set", "collection.solid_angle_sr=1e-320"],
     # a pump waist whose square underflows, at the small end of the waist-ratio sweep
     ["sweep-gamma", "--gamma-min", "1e-170", "--gamma-max", "1"],
+    # waists whose squares underflow to 0 or overflow, in the overlap coefficients
+    ["compare-experiment", "--set", "pump.waist_um=1e-200", "--set", "signal.waist_um=1e-200",
+     "--set", "idler.waist_um=1e-200"],
+    ["compare-experiment", "--set", "pump.waist_um=1e200", "--set", "signal.waist_um=1e200",
+     "--set", "idler.waist_um=1e200"],
 ], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow",
-        "efficiency-overflow", "thin-efficiency-overflow", "gamma-underflow"])
+        "efficiency-overflow", "thin-efficiency-overflow", "gamma-underflow",
+        "waist-underflow", "waist-overflow"])
 def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
     source = ["--config", sg.builtin_config_path()] if argv[0] != "sweep-gamma" else []
@@ -308,7 +314,8 @@ def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error NUMERICAL:")
-    assert "division by zero" not in err[0]  # the library's message, not Python's
+    # the library's message, not Python's
+    assert "division by zero" not in err[0] and "Numerical result out of range" not in err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -359,14 +366,16 @@ def run_child(*args, cwd=None):
 # material database and a config with overrides), the exit code and stderr, the
 # modules that must not load and those that must.
 SOURCE_MODULES = ("spdcgauss.config", "spdcgauss.materials", "spdcgauss.rates")
+# the records are named tuples: no command loads dataclasses, and only numpy loads inspect
+RECORD_MODULES = ("dataclasses", "inspect")
 # the commands without a source run on the float curves alone: no geometry records
-GEOMETRY_MODULES = ("dataclasses", "inspect", "spdcgauss.modes")
+GEOMETRY_MODULES = (*RECORD_MODULES, "spdcgauss.modes")
 IMPORT_CONTRACT = [
-    pytest.param(None, 0, "", ("numpy",), (), id="library"),
+    pytest.param(None, 0, "", ("numpy", *RECORD_MODULES), (), id="library"),
     pytest.param(["--help"], 0, "", ("numpy",), (), id="help"),
     pytest.param(["rate", "--config", sg.builtin_config_path(), "--set", "pump.waist_um=-50"],
-                 2, "error VALIDATION: pump.waist must be finite and > 0\n", ("numpy",), (),
-                 id="refused"),
+                 2, "error VALIDATION: pump.waist must be finite and > 0\n",
+                 ("numpy", *RECORD_MODULES), (), id="refused"),
     pytest.param(["figures"], 0, "", ("numpy", "numpy.polynomial", "scipy", *SOURCE_MODULES,
                                       *GEOMETRY_MODULES), ("spdcgauss.curves",), id="figures"),
     *(pytest.param([command], 0, "",
@@ -374,9 +383,10 @@ IMPORT_CONTRACT = [
                    ("spdcgauss.curves",), id=command)
       for command in ("spectrum", "sweep-xi", "sweep-gamma")),
     pytest.param(["compare-experiment", "--config", sg.builtin_config_path()],
-                 0, "", ("numpy",), SOURCE_MODULES, id="compare-experiment"),
+                 0, "", ("numpy", *RECORD_MODULES), SOURCE_MODULES, id="compare-experiment"),
     pytest.param(["rate", "--config", sg.builtin_config_path()], 0, "",
-                 ("numpy.ma", "numpy.polynomial", "scipy"), ("numpy", *SOURCE_MODULES), id="rate"),
+                 ("dataclasses", "numpy.ma", "numpy.polynomial", "scipy"),
+                 ("numpy", *SOURCE_MODULES), id="rate"),
 ]
 
 # runs one row, prints the loaded modules, then checks that the lazy package
@@ -412,15 +422,14 @@ def test_import_contract(tmp_path, argv, code, stderr, unloaded, loaded):
     assert [m for m in loaded if m not in modules] == []
 
 
-# where the package imports numpy: the one array function of modes, the one of
-# rates, and rates' annotation-only import
-NUMPY_IMPORT_SITES = ["modes.phi_z_grid", "rates.TYPE_CHECKING", "rates.total_rate"]
+# where the package imports numpy: the one array function of modes and the one of rates
+NUMPY_IMPORT_SITES = ["modes.phi_z_grid", "rates.total_rate"]
 
 
 def numpy_import_sites(node, scope):
     """The scope of every ``import numpy...`` / ``from numpy... import`` under
     ``node``: ``scope`` and the names of the enclosing definitions, joined by
-    dots, with ``TYPE_CHECKING`` for the body of an ``if TYPE_CHECKING:``."""
+    dots."""
     sites = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Import):
@@ -434,8 +443,6 @@ def numpy_import_sites(node, scope):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
-            inner = f"{scope}.TYPE_CHECKING"
         sites += numpy_import_sites(child, inner)
     return sites
 
@@ -586,6 +593,18 @@ def test_cli_module_run_is_silent(tmp_path):
     assert proc.stderr == ""
 
 
+# runs the CLI module and prints the child's own peak RSS last, where the kernel
+# reports it: ru_maxrss would carry the parent's peak across exec
+PEAK_RSS_CHILD = ("import os, runpy, sys\n"
+                  "sys.argv[0] = 'spdc-gauss'\n"
+                  "try:\n"
+                  "    runpy.run_module('spdcgauss.cli', run_name='__main__')\n"
+                  "finally:\n"
+                  "    if os.path.exists('/proc/self/status'):\n"
+                  "        with open('/proc/self/status') as fh:\n"
+                  "            print(next(line for line in fh if line.startswith('VmHWM:')))\n")
+
+
 @pytest.mark.parametrize("args, name", [
     (["sweep-xi", "--xi-max", "1e6", "--points", "3"], "sweep_xi.csv"),
     (["spectrum", "--xi", "1", "--dphi-min=-1e4", "--dphi-max", "1e4"],
@@ -597,17 +616,7 @@ def test_cli_module_run_is_silent(tmp_path):
       "--set", "crystal.length_mm=1e300"], "comparison.csv"),
 ])
 def test_cli_extreme_inputs_bounded(tmp_path, args, name):
-    # the child runs the CLI module and prints its own peak RSS last, where the
-    # kernel reports it: ru_maxrss would carry the parent's peak across exec
-    code = ("import os, runpy, sys\n"
-            "sys.argv[0] = 'spdc-gauss'\n"
-            "try:\n"
-            "    runpy.run_module('spdcgauss.cli', run_name='__main__')\n"
-            "finally:\n"
-            "    if os.path.exists('/proc/self/status'):\n"
-            "        with open('/proc/self/status') as fh:\n"
-            "            print(next(line for line in fh if line.startswith('VmHWM:')))\n")
-    proc = run_child("-c", code, *args, "--out", str(tmp_path))
+    proc = run_child("-c", PEAK_RSS_CHILD, *args, "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     lines = proc.stdout.strip().splitlines()
@@ -621,6 +630,29 @@ def test_cli_extreme_inputs_bounded(tmp_path, args, name):
         rows = [r[1:] for r in rows]
     values = np.array([float(v) for r in rows for v in r if v])  # "" where undefined
     assert np.all(np.isfinite(values))
+
+
+def test_cli_spectrum_table_is_streamed(tmp_path):
+    # 4e5 rows: holding the table before writing it peaked at ~90 MB, streaming it
+    # peaks at ~34 MB
+    points = 400_000
+    proc = run_child("-c", PEAK_RSS_CHILD, "spectrum", "--xi", "1", "--dphi-min=-100",
+                     "--dphi-max", "100", "--points", str(points), "--out", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if os.path.exists("/proc/self/status"):
+        kind, kb, unit = proc.stdout.strip().splitlines()[-1].split()
+        assert (kind, unit) == ("VmHWM:", "kB") and int(kb) / 1024.0 < 60.0
+    with open(tmp_path / "spectrum_overlap.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + points
+
+
+@pytest.mark.parametrize("command", ["rate", "compare-experiment"])
+def test_cli_reads_its_data_files_as_utf8(tmp_path, command):
+    # no read of the config or the material database depends on the locale's encoding
+    proc = run_child("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                     "-m", "spdcgauss.cli", command, "--config", sg.builtin_config_path(),
+                     "--out", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("form", ["3m_d22", "mm2_d24", None])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +11,7 @@ from spdcgauss.modes import gamma_sweep, optimal_gamma, phi_z_thin, waist_scalin
 from spdcgauss.rates import (
     SPECTRAL_POINTS,
     SPECTRAL_SPAN_DPHI,
+    SourceConfig,
     _delta_k_z,
     closed_form_report,
     comparison_rows,
@@ -76,8 +76,7 @@ def test_collinear_beats_non_collinear():
 
 def test_unequal_waists_rejected():
     cfg = make_config()
-    bad = dataclasses.replace(
-        cfg, signal=dataclasses.replace(cfg.signal, waist_w=60e-6))
+    bad = cfg._replace(signal=cfg.signal._replace(waist_w=60e-6))
     with pytest.raises(UnequalWaists):
         total_rate(bad)
     with pytest.raises(UnequalWaists):
@@ -87,7 +86,7 @@ def test_unequal_waists_rejected():
 @pytest.mark.parametrize("power", [math.inf, math.nan, 0.0])
 def test_source_config_rejects_bad_power(power):
     with pytest.raises(ValidationError, match="pump_power"):
-        dataclasses.replace(make_config(), pump_power_p=power)
+        make_config()._replace(pump_power_p=power)
 
 
 def test_spectral_samples_integrate_to_total():
@@ -227,8 +226,43 @@ def test_experiment_comparison_values():
     assert report.warnings  # paper angle convention is flagged
 
 
+def test_records_check_their_fields_and_are_immutable_tuples():
+    cfg = make_config()
+    report = closed_form_report(cfg)
+    geom = sg.modes.geometry_coefficients(cfg.pump, cfg.signal, cfg.idler,
+                                          cfg.crystal.length_l)
+    # _replace builds its result through the constructor and its checks
+    for record, change, message in [
+        (cfg, {"pump_power_p": -1.0}, "pump_power"),
+        (cfg.signal, {"waist_w": 0.0}, "signal.waist"),
+        (geom, {"C": 0.0}, "A >= C > 0"),
+        (cfg.crystal, {"length_l": math.inf}, "crystal length_l"),
+        (cfg.crystal.ordinary, {"valid_range_m": (1e-6, 1e-7)}, "valid_range"),
+        (report, {"R_T": -1.0}, "rates must be >= 0"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            record._replace(**change)
+    records = [cfg, cfg.pump, geom, cfg.crystal, cfg.crystal.ordinary, report,
+               sg.load_material_db()["BBO"], comparison_rows(cfg, report)[0]]
+    for record in records:
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.note = "x"
+        # keyword and positional construction agree
+        by_name = type(record)(**record._asdict())
+        assert type(by_name) is type(record)
+        assert by_name == type(record)(*record) == record
+    # each config built without reference values gets a dict of its own
+    first = SourceConfig(*cfg[:7])
+    second = SourceConfig(*cfg[:6], angle_convention=cfg.angle_convention)
+    assert first.reference_values == second.reference_values == {}
+    assert first.reference_values is not second.reference_values
+
+
 def test_experiment_comparison_requires_ratio():
-    cfg = dataclasses.replace(make_config(), pair_to_singles_ratio=None)
+    cfg = make_config()._replace(pair_to_singles_ratio=None)
     with pytest.raises(ValidationError):
         experiment_comparison(cfg)
 
@@ -246,8 +280,7 @@ def test_closed_form_comparison_matches_experiment_comparison(overrides):
     assert comparison_rows(cfg, closed) == rows
     assert closed.spectral_samples is None
     assert report.spectral_samples.shape == (SPECTRAL_POINTS, 3)
-    assert dataclasses.replace(report, spectral_samples=None, warnings=[]) == \
-        dataclasses.replace(closed, warnings=[])
+    assert report._replace(spectral_samples=None, warnings=[]) == closed._replace(warnings=[])
     # the sampled spectrum adds only its repeated-frequency warning
     assert [w for w in report.warnings if "distinct" not in w] == closed.warnings
 
