@@ -40,6 +40,8 @@ FIG_GAMMA_RANGE = (0.1, 3.0, 581)
 MAX_POINTS = 10 ** 6
 # rows formatted per write of a CSV table
 _CSV_CHUNK = 4096
+# |delta_phi| values an overlap curve memoises, above the figure grid's 1541 distinct
+_MEMO_SIZE = 4096
 
 
 def _checked_path(out_dir: str, name: str, force: bool) -> str:
@@ -103,20 +105,26 @@ def _xi_list(text):
 
 
 def _overlap_rows(xis, lo, hi, points):
-    """Yields the ``(xi, delta_phi, Phi_z/l)`` rows.  A curve reads |delta_phi| only,
-    so each value is memoised; the memo is cleared once it holds ``_CSV_CHUNK``, which
-    keeps every reuse on the figure grid (1541 distinct |delta_phi| of 2001 points)."""
+    """An iterator of the ``(xi, delta_phi, Phi_z/l)`` rows, every Xi and the grid checked
+    first, so a refused input opens no file; a curve reads |delta_phi| only, memoised."""
     grid = curves.uniform_grid(lo, hi, points)
-    for xi in xis:
-        curve = curves.phi_z_curve(xi)
-        memo = {}
-        for d in grid:
-            value = memo.get(a := abs(d))
-            if value is None:
-                if len(memo) == _CSV_CHUNK:
-                    memo.clear()
-                value = memo[a] = curve(a)
-            yield xi, d, value
+    curve_list = []
+    for xi in xis:  # in the order the rows would meet them: each Xi, then the grid
+        curve_list.append(curves.phi_z_curve(xi))
+        for d in (grid[0], grid[-2], grid[-1]):  # the grid is monotone: its ends bound it
+            curve_list[-1](d)
+
+    def rows():
+        for xi, curve in zip(xis, curve_list):
+            memo = {}
+            for d in grid:
+                value = memo.get(a := abs(d))
+                if value is None:
+                    if len(memo) == _MEMO_SIZE:
+                        memo.clear()
+                    value = memo[a] = curve(a)
+                yield xi, d, value
+    return rows()
 
 
 def _xi_rows(lo, hi, points):

@@ -22,18 +22,9 @@ from .errors import ComputationError, UnequalWaists, ValidationError
 from .materials import dispersion_factor, effective_nonlinearity_bbo
 from .modes import geometry_coefficients, spectral_integral_S
 
-__all__ = [
-    "AngleConvention",
-    "PolarizationAssignment",
-    "SourceConfig",
-    "RateReport",
-    "ComparisonRow",
-    "pump_amplitude_sq",
-    "closed_form_report",
-    "total_rate",
-    "comparison_rows",
-    "experiment_comparison",
-]
+__all__ = ["AngleConvention", "PolarizationAssignment", "SourceConfig", "RateReport",
+           "ComparisonRow", "pump_amplitude_sq", "closed_form_report", "total_rate",
+           "comparison_rows", "experiment_comparison"]
 
 # total_rate samples the spectrum at this many signal frequencies,
 # spanning delta_phi in [-span, span] about the phase-matched point
@@ -329,6 +320,8 @@ def total_rate(config: SourceConfig) -> RateReport:
     lo, hi, _ = _sample_range(config, _dispersion(config))
     l = config.crystal.length_l
     geom = geometry_coefficients(config.pump, config.signal, config.idler, l)
+    if not geom.A * geom.C > 0.0:  # the product underflowed: waists beyond ~4e80 m
+        raise OverflowError(f"A*C = {geom.A!r} * {geom.C!r} 1/m^4 leaves the float range")
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         grid = np.linspace(lo, hi, SPECTRAL_POINTS)
         dphi = _delta_k_z(config, grid) * l / 2.0

@@ -304,9 +304,12 @@ def test_cli_validation_exit_code(tmp_path, capsys):
      "--set", "idler.waist_um=1e-200"],
     ["compare-experiment", "--set", "pump.waist_um=1e200", "--set", "signal.waist_um=1e200",
      "--set", "idler.waist_um=1e200"],
+    # waists whose overlap coefficients A and C have a product that underflows to 0
+    ["rate", "--set", "pump.waist_um=1e100", "--set", "signal.waist_um=1e100",
+     "--set", "idler.waist_um=1e100"],
 ], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow",
         "efficiency-overflow", "thin-efficiency-overflow", "gamma-underflow",
-        "waist-underflow", "waist-overflow"])
+        "waist-underflow", "waist-overflow", "overlap-underflow"])
 def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
     source = ["--config", sg.builtin_config_path()] if argv[0] != "sweep-gamma" else []
@@ -347,9 +350,29 @@ def test_cli_numerical_exit_code(tmp_path, capsys, argv):
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    out = str(tmp_path / "o")
+    assert main(argv + ["--out", out]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error VALIDATION:")
+    assert not os.path.exists(out) or not os.listdir(out)  # refused before any file is opened
+
+
+@pytest.mark.parametrize("argv", [
+    ["--xi", "nan"],
+    ["--xi", "-1"],
+    ["--xi", "0,nan", "--points", "5000"],  # the second curve is refused
+    ["--dphi-min=-2e5"],
+    ["--dphi-max", "100001", "--points", "5000"],
+])
+def test_cli_refused_spectrum_keeps_an_earlier_table(tmp_path, capsys, argv):
+    out = str(tmp_path / "o")
+    assert main(["spectrum", "--out", out]) == 0
+    with open(os.path.join(out, "spectrum_overlap.csv"), "rb") as fh:
+        table = fh.read()
+    assert main(["spectrum", *argv, "--out", out, "--force"]) == 2
+    assert capsys.readouterr().err.startswith("error VALIDATION:")
+    with open(os.path.join(out, "spectrum_overlap.csv"), "rb") as fh:
+        assert fh.read() == table
 
 
 def run_child(*args, cwd=None):
