@@ -8,15 +8,16 @@ import importlib
 
 _SUBMODULES = ("config", "constants", "curves", "errors", "materials", "modes", "rates")
 _LAZY = {
-    "config": ("builtin_config_path", "load_config"),
+    "config": ("AngleConvention", "GaussianMode", "PolarizationAssignment", "Role",
+               "SourceConfig", "builtin_config_path", "load_config"),
     "errors": ("ComputationError", "ConfigurationError", "DegenerateDispersion", "NegativeH",
                "OutOfRange", "OverwriteRefused", "ParseError", "SpdcGaussError",
                "UnequalWaists", "UnknownMaterial", "ValidationError"),
     "materials": ("CrystalSpec", "MaterialRecord", "SellmeierSet", "load_material_db"),
     "curves": ("gamma_sweep", "optimal_gamma", "waist_scaling"),
-    "modes": ("GaussianMode", "OverlapGeometry", "Role"),
-    "rates": ("AngleConvention", "PolarizationAssignment", "RateReport", "SourceConfig",
-              "closed_form_report", "comparison_rows", "experiment_comparison", "total_rate"),
+    "modes": ("OverlapGeometry",),
+    "rates": ("RateReport", "closed_form_report", "comparison_rows", "experiment_comparison",
+              "total_rate"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

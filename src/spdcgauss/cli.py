@@ -11,7 +11,11 @@ exits with its label's code (see :mod:`spdcgauss.errors`); success exits 0.
 Only ``rate`` imports numpy, for its sampled spectrum; the other commands are
 closed forms or float math.  The commands that need no source (``figures``,
 ``spectrum``, ``sweep-xi`` and ``sweep-gamma``) run on :mod:`spdcgauss.curves`
-alone, without the geometry of :mod:`spdcgauss.modes`; the records are named
+alone, without the geometry of :mod:`spdcgauss.modes`.  Loading a source
+(:func:`spdcgauss.config.load_config`, whose module holds the source records)
+loads no geometry, curve or rate code, so a refused source exits before any
+of it is compiled; ``rate`` and ``compare-experiment`` import
+:mod:`spdcgauss.rates` once the source is built.  The records are named
 tuples, so no command loads ``dataclasses``.  ``IMPORT_CONTRACT`` in
 ``tests/test_cli.py`` states which modules each command loads.  Tables are
 streamed to their CSV files, a chunk of rows at a time.
@@ -26,7 +30,6 @@ import os
 import sys
 from itertools import islice
 
-from . import curves
 from .errors import OverwriteRefused, SpdcGaussError, ValidationError
 
 __all__ = ["main"]
@@ -107,6 +110,7 @@ def _xi_list(text):
 def _overlap_rows(xis, lo, hi, points):
     """An iterator of the ``(xi, delta_phi, Phi_z/l)`` rows, every Xi and the grid checked
     first, so a refused input opens no file; a curve reads |delta_phi| only, memoised."""
+    from . import curves
     grid = curves.uniform_grid(lo, hi, points)
     curve_list = []
     for xi in xis:  # in the order the rows would meet them: each Xi, then the grid
@@ -128,10 +132,12 @@ def _overlap_rows(xis, lo, hi, points):
 
 
 def _xi_rows(lo, hi, points):
+    from . import curves
     return [(xi, curves.spectral_integral_S(xi)) for xi in curves.uniform_grid(lo, hi, points)]
 
 
 def _gamma_rows(lo, hi, points):
+    from . import curves
     sweep = curves.gamma_sweep(lo, hi, points)
     rel = [r for _, r in sweep]
     top = rel.index(max(rel))  # the first maximum, as numpy's argmax

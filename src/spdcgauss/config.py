@@ -8,22 +8,137 @@ extraordinary at the cut angle, as phase matching in a negative uniaxial
 crystal requires; daughters ordinary/extraordinary per the configured
 assignment, the extraordinary one evaluated at the cut angle), and the
 external collection angle is converted per the angle convention.
+
+The source records live here, beside the loader that builds them: Role,
+GaussianMode, AngleConvention, PolarizationAssignment and SourceConfig.
+The named tuples check their fields when built, by ``_replace`` too.
+:mod:`spdcgauss.modes` and :mod:`spdcgauss.rates` re-export them, so
+``modes.GaussianMode`` and ``rates.SourceConfig`` are the same objects.  This
+module imports only :mod:`~spdcgauss.materials`, :mod:`~spdcgauss.errors` and
+:mod:`~spdcgauss.constants`: loading a source compiles none of the geometry,
+curve or rate code.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import json
 import math
 import sys
+from collections import namedtuple
 from importlib import resources
 
 from . import materials
 from .errors import ParseError, UnknownMaterial, ValidationError
-from .modes import GaussianMode, Role
-from .rates import AngleConvention, PolarizationAssignment, SourceConfig
 
-__all__ = ["load_config", "config_from_dict", "apply_overrides", "builtin_config_path"]
+__all__ = ["Role", "GaussianMode", "AngleConvention", "PolarizationAssignment", "SourceConfig",
+           "load_config", "config_from_dict", "apply_overrides", "builtin_config_path"]
+
+
+class Role(str, enum.Enum):
+    PUMP = "pump"
+    SIGNAL = "signal"
+    IDLER = "idler"
+
+
+class GaussianMode(namedtuple("GaussianMode", "waist_w lambda_vac theta n role")):
+    """One paraxial beam: waist (m), vacuum wavelength (m), internal tilt
+    (rad), refractive index seen by the mode, and its :class:`Role`.
+
+    ``theta`` is the tilt of the mode axis relative to the pump axis in
+    crystal coordinates; the signal tilts one way, the idler the other
+    (the sign convention is handled inside the geometry assembly, both
+    angles are given as magnitudes here).  The pump defines the z-axis
+    and must have theta = 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not 0 < self.waist_w < math.inf:
+            raise ValidationError(f"{self.role.value}.waist must be finite and > 0")
+        if not 0 < self.lambda_vac < math.inf:
+            raise ValidationError(f"{self.role.value}.wavelength must be finite and > 0")
+        if not 1.0 <= self.n < math.inf:
+            raise ValidationError(f"{self.role.value}.n must be finite and >= 1")
+        if not math.isfinite(self.theta):
+            raise ValidationError(f"{self.role.value}.theta must be finite")
+        if self.role is Role.PUMP and self.theta != 0.0:
+            raise ValidationError("pump tilt must be 0 (pump defines the z-axis)")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its result
+
+    @property
+    def omega(self) -> float:
+        from .constants import C_LIGHT
+        return 2.0 * math.pi * C_LIGHT / self.lambda_vac
+
+
+class AngleConvention(str, enum.Enum):
+    """How the external collection angle maps to the in-crystal tilt.
+
+    ``INTERNAL_PHYSICS`` applies Snell refraction at the exit face
+    (physically correct).  ``PAPER_EXTERNAL_AS_INTERNAL`` inserts the
+    external angle directly into the crystal-frame geometry; this is the
+    convention under which the published BBO walk-off figure of 0.933
+    is reproduced.
+    """
+
+    INTERNAL_PHYSICS = "internal_physics"
+    PAPER_EXTERNAL_AS_INTERNAL = "paper_external_as_internal"
+
+
+class PolarizationAssignment(str, enum.Enum):
+    SIGNAL_ORDINARY = "signal_ordinary"
+    SIGNAL_EXTRAORDINARY = "signal_extraordinary"
+
+
+class SourceConfig(namedtuple("SourceConfig", (
+        "pump_power_p pump signal idler crystal external_collection_angle angle_convention "
+        "collection_solid_angle_sr pair_to_singles_ratio decay_path_multiplicity "
+        "reference_values"), defaults=(None, None, 2, None))):
+    """Full description of one photon-pair source, in SI units (W, rad, sr);
+    ``reference_values`` is a dict, a new one for each config built without.
+
+    The three ``GaussianMode`` entries arrive fully resolved: internal
+    tilt angles per the chosen angle convention and refractive indices
+    already assigned (pump extraordinary at the cut angle; daughters
+    ordinary / extraordinary per the config's polarization assignment).
+    Degenerate operation is the supported design point: both daughter
+    wavelengths must equal twice the pump wavelength.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        if len(args) < len(cls._fields):  # a dict of its own for each config
+            kwargs.setdefault("reference_values", {})
+        self = super().__new__(cls, *args, **kwargs)
+        if not 0 < self.pump_power_p < math.inf:
+            raise ValidationError("pump_power must be finite and > 0")
+        if self.collection_solid_angle_sr is not None \
+                and not 0 < self.collection_solid_angle_sr < math.inf:
+            raise ValidationError("collection.solid_angle_sr must be finite and > 0")
+        if self.pair_to_singles_ratio is not None \
+                and not 0 < self.pair_to_singles_ratio <= 1:
+            raise ValidationError("collection.pair_to_singles_ratio must lie in (0, 1]")
+        lam_d = 2.0 * self.pump.lambda_vac
+        for m in (self.signal, self.idler):
+            if abs(m.lambda_vac - lam_d) > 1e-9 * lam_d:
+                raise ValidationError(
+                    f"{m.role.value}.wavelength: degenerate operation requires "
+                    f"2 x pump wavelength ({lam_d * 1e9:.2f} nm)"
+                )
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its result
+
+    @property
+    def d_eff(self) -> float:
+        return materials.effective_nonlinearity_bbo(self.crystal)
 
 
 def builtin_config_path(name: str = "bbo_branciard") -> str:

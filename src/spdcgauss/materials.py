@@ -121,12 +121,12 @@ def _sellmeier_from_json(obj, where):
     try:
         form = obj["form"]
         c0, c1, c2, c3 = (float(c) for c in obj["coefficients"])
-        lo_um, hi_um = obj["range_um"]
+        lo_um, hi_um = (float(x) for x in obj["range_um"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed Sellmeier entry at {where}: {exc}") from exc
     if form != "pole_quadratic":
         raise ParseError(f"{where}: unknown dispersion form {form!r}")
-    return SellmeierSet((c0, c1, c2, c3), (float(lo_um) * 1e-6, float(hi_um) * 1e-6))
+    return SellmeierSet((c0, c1, c2, c3), (lo_um * 1e-6, hi_um * 1e-6))
 
 
 def load_material_db(path=None) -> dict:
@@ -134,7 +134,9 @@ def load_material_db(path=None) -> dict:
 
     ``path=None`` loads the database shipped with the package.  Each record
     names its effective-nonlinearity form in ``d_eff_form``; the one form the
-    model evaluates is ``"3m_d22"``, d22 cos^2(theta_c) cos(3 phi_c).
+    model evaluates is ``"3m_d22"``, d22 cos^2(theta_c) cos(3 phi_c).  A
+    document of another shape, a record whose name is not a string or repeats
+    an earlier one, and a d22 that is not a number raise ``ParseError``.
     """
     if path is None:
         text = resources.files("spdcgauss").joinpath("data/materials.json") \
@@ -151,11 +153,21 @@ def load_material_db(path=None) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where} line {exc.lineno}: {exc.msg}") from exc
-    out = {}
-    for i, m in enumerate(doc.get("materials", [])):
+    records = doc.get("materials", []) if isinstance(doc, dict) else None
+    if not isinstance(records, list):
+        raise ParseError(f"{where}: expected an object whose \"materials\" is a list")
+    out, index = {}, {}
+    for i, m in enumerate(records):
         label = f"{where}#materials[{i}]"
+        if not isinstance(m, dict):
+            raise ParseError(f"{label}: expected an object, got {type(m).__name__}")
         try:
             name = m["name"]
+            if not isinstance(name, str):
+                raise ParseError(f"{label}: name must be a string, got {type(name).__name__}")
+            if name in index:
+                raise ParseError(f"{label}: material {name!r} repeats {where}#materials"
+                                 f"[{index[name]}]")
             d_eff_form = m["d_eff_form"]
             rec = MaterialRecord(
                 name=name,
@@ -166,9 +178,11 @@ def load_material_db(path=None) -> dict:
             )
         except KeyError as exc:
             raise ParseError(f"{label}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:  # from float(d22)
+            raise ParseError(f"{label} {name!r}: d22_m_per_V must be a number: {exc}") from exc
         if d_eff_form != "3m_d22":  # the one form effective_nonlinearity_bbo evaluates
             raise ParseError(f"{label} {name!r}: unknown d_eff form {d_eff_form!r}")
-        out[name] = rec
+        out[name], index[name] = rec, i
     if not out:
         raise ParseError(f"{where}: no materials defined")
     return out

@@ -23,16 +23,18 @@ object.  phi_z_grid, the one array function, takes an ndarray of dphi and
 integrates an entire function over [0, 1] on a composite Gauss-Legendre
 rule whose panel count follows the largest phase and the Gaussian decay.
 numpy loads inside phi_z_grid only, and never numpy.polynomial;
-everything else here is plain float math.  GaussianMode and OverlapGeometry
-are named tuples that check their fields when built, by ``_replace`` too.
+everything else here is plain float math.  OverlapGeometry is a named
+tuple that checks its fields when built, by ``_replace`` too; Role and
+GaussianMode, the records a source is built from, live in
+:mod:`spdcgauss.config` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 
+from .config import GaussianMode, Role
 from .curves import (
     DELTA_PHI_MAX,
     _checked_delta_phi,
@@ -86,47 +88,6 @@ _GL_RULE = (
     (0.84936761373257, 0.05099805926237609), (0.8963211557660521, 0.042835898022226836),
     (0.9349060759377397, 0.034273862913021765), (0.9647622555875064, 0.025392065309262024),
     (0.9856115115452684, 0.016274394730905743), (0.9972638618494816, 0.007018610009470506))
-
-
-class Role(str, enum.Enum):
-    PUMP = "pump"
-    SIGNAL = "signal"
-    IDLER = "idler"
-
-
-class GaussianMode(namedtuple("GaussianMode", "waist_w lambda_vac theta n role")):
-    """One paraxial beam: waist (m), vacuum wavelength (m), internal tilt
-    (rad), refractive index seen by the mode, and its :class:`Role`.
-
-    ``theta`` is the tilt of the mode axis relative to the pump axis in
-    crystal coordinates; the signal tilts one way, the idler the other
-    (the sign convention is handled inside the geometry assembly, both
-    angles are given as magnitudes here).  The pump defines the z-axis
-    and must have theta = 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0 < self.waist_w < math.inf:
-            raise ValidationError(f"{self.role.value}.waist must be finite and > 0")
-        if not 0 < self.lambda_vac < math.inf:
-            raise ValidationError(f"{self.role.value}.wavelength must be finite and > 0")
-        if not 1.0 <= self.n < math.inf:
-            raise ValidationError(f"{self.role.value}.n must be finite and >= 1")
-        if not math.isfinite(self.theta):
-            raise ValidationError(f"{self.role.value}.theta must be finite")
-        if self.role is Role.PUMP and self.theta != 0.0:
-            raise ValidationError("pump tilt must be 0 (pump defines the z-axis)")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its result
-
-    @property
-    def omega(self) -> float:
-        from .constants import C_LIGHT
-        return 2.0 * math.pi * C_LIGHT / self.lambda_vac
 
 
 class OverlapGeometry(namedtuple("OverlapGeometry", "A C D F H Xi")):

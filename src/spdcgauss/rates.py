@@ -5,21 +5,22 @@ rate as its collinear value) and efficiency figures.
 Everything is evaluated at fixed nominal refractive indices (taken at
 the pump and degenerate daughter wavelengths) -- the indices sit outside
 the spectral integral in this model.  Transverse phase matching is taken
-as perfect (delta_k_y = 0) throughout the rate expressions.  The records are
-named tuples; SourceConfig and RateReport check their fields when built,
-by ``_replace`` too.
+as perfect (delta_k_y = 0) throughout the rate expressions.  RateReport is a
+named tuple that checks its fields when built, by ``_replace`` too;
+AngleConvention, PolarizationAssignment and SourceConfig live in
+:mod:`spdcgauss.config`, which builds them, and are re-exported here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 
 from . import materials, modes
+from .config import AngleConvention, PolarizationAssignment, SourceConfig
 from .constants import C_LIGHT, EPSILON_0, HBAR
 from .errors import ComputationError, UnequalWaists, ValidationError
-from .materials import dispersion_factor, effective_nonlinearity_bbo
+from .materials import dispersion_factor
 from .modes import geometry_coefficients, spectral_integral_S
 
 __all__ = ["AngleConvention", "PolarizationAssignment", "SourceConfig", "RateReport",
@@ -34,70 +35,6 @@ SPECTRAL_SPAN_DPHI = 100.0
 # this fraction of omega_p/2 from degeneracy: the closed form's omega_s omega_i =
 # omega_p^2/4 then overstates the rate there by 1/(1 - offset^2), over 1 %
 DEGENERACY_OFFSET_MAX = 0.1
-
-
-class AngleConvention(str, enum.Enum):
-    """How the external collection angle maps to the in-crystal tilt.
-
-    ``INTERNAL_PHYSICS`` applies Snell refraction at the exit face
-    (physically correct).  ``PAPER_EXTERNAL_AS_INTERNAL`` inserts the
-    external angle directly into the crystal-frame geometry; this is the
-    convention under which the published BBO walk-off figure of 0.933
-    is reproduced.
-    """
-
-    INTERNAL_PHYSICS = "internal_physics"
-    PAPER_EXTERNAL_AS_INTERNAL = "paper_external_as_internal"
-
-
-class PolarizationAssignment(str, enum.Enum):
-    SIGNAL_ORDINARY = "signal_ordinary"
-    SIGNAL_EXTRAORDINARY = "signal_extraordinary"
-
-
-class SourceConfig(namedtuple("SourceConfig", (
-        "pump_power_p pump signal idler crystal external_collection_angle angle_convention "
-        "collection_solid_angle_sr pair_to_singles_ratio decay_path_multiplicity "
-        "reference_values"), defaults=(None, None, 2, None))):
-    """Full description of one photon-pair source, in SI units (W, rad, sr);
-    ``reference_values`` is a dict, a new one for each config built without.
-
-    The three ``GaussianMode`` entries arrive fully resolved: internal
-    tilt angles per the chosen angle convention and refractive indices
-    already assigned (pump extraordinary at the cut angle; daughters
-    ordinary / extraordinary per the config's polarization assignment).
-    Degenerate operation is the supported design point: both daughter
-    wavelengths must equal twice the pump wavelength.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        if len(args) < len(cls._fields):  # a dict of its own for each config
-            kwargs.setdefault("reference_values", {})
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0 < self.pump_power_p < math.inf:
-            raise ValidationError("pump_power must be finite and > 0")
-        if self.collection_solid_angle_sr is not None \
-                and not 0 < self.collection_solid_angle_sr < math.inf:
-            raise ValidationError("collection.solid_angle_sr must be finite and > 0")
-        if self.pair_to_singles_ratio is not None \
-                and not 0 < self.pair_to_singles_ratio <= 1:
-            raise ValidationError("collection.pair_to_singles_ratio must lie in (0, 1]")
-        lam_d = 2.0 * self.pump.lambda_vac
-        for m in (self.signal, self.idler):
-            if abs(m.lambda_vac - lam_d) > 1e-9 * lam_d:
-                raise ValidationError(
-                    f"{m.role.value}.wavelength: degenerate operation requires "
-                    f"2 x pump wavelength ({lam_d * 1e9:.2f} nm)"
-                )
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its result
-
-    @property
-    def d_eff(self) -> float:
-        return effective_nonlinearity_bbo(self.crystal)
 
 
 class RateReport(namedtuple("RateReport", "Xi S R_T R_T_thin spectral_samples "

@@ -393,12 +393,14 @@ SOURCE_MODULES = ("spdcgauss.config", "spdcgauss.materials", "spdcgauss.rates")
 RECORD_MODULES = ("dataclasses", "inspect")
 # the commands without a source run on the float curves alone: no geometry records
 GEOMETRY_MODULES = (*RECORD_MODULES, "spdcgauss.modes")
+# the source records live in config: loading or refusing a source compiles none of these
+MODEL_MODULES = ("spdcgauss.curves", "spdcgauss.modes", "spdcgauss.rates")
 IMPORT_CONTRACT = [
-    pytest.param(None, 0, "", ("numpy", *RECORD_MODULES), (), id="library"),
+    pytest.param(None, 0, "", ("numpy", *RECORD_MODULES, *MODEL_MODULES), (), id="library"),
     pytest.param(["--help"], 0, "", ("numpy",), (), id="help"),
     pytest.param(["rate", "--config", sg.builtin_config_path(), "--set", "pump.waist_um=-50"],
                  2, "error VALIDATION: pump.waist must be finite and > 0\n",
-                 ("numpy", *RECORD_MODULES), (), id="refused"),
+                 ("numpy", *RECORD_MODULES, *MODEL_MODULES), (), id="refused"),
     pytest.param(["figures"], 0, "", ("numpy", "numpy.polynomial", "scipy", *SOURCE_MODULES,
                                       *GEOMETRY_MODULES), ("spdcgauss.curves",), id="figures"),
     *(pytest.param([command], 0, "",
@@ -521,6 +523,13 @@ def test_package_exports_resolve_by_attribute_and_star_import():
         assert namespace[name] is getattr(sg, name), name
     with pytest.raises(AttributeError):
         sg.no_such_name
+    # the source records live in config; modes and rates re-export the same objects
+    for name, home in (("Role", "modes"), ("GaussianMode", "modes"),
+                       ("AngleConvention", "rates"), ("PolarizationAssignment", "rates"),
+                       ("SourceConfig", "rates")):
+        record = getattr(sg.config, name)
+        assert getattr(sg, name) is record and getattr(getattr(sg, home), name) is record, name
+        assert record.__module__ == "spdcgauss.config", name
     # a name in a submodule's __all__ that the submodule lacks fails its star import
     for module in ("cli", *sg._SUBMODULES):
         exec(f"from spdcgauss.{module} import *", {})
@@ -703,6 +712,46 @@ def test_cli_material_db_names_its_d_eff_form(tmp_path, capsys, form):
     expect = "missing field 'd_eff_form'" if form is None else f"unknown d_eff form {form!r}"
     assert len(err) == 1 and err[0].startswith("error PARSE:")
     assert "materials[1]" in err[0] and err[0].endswith(expect)
+
+
+def _shipped_bbo():
+    return json.loads(resources.files("spdcgauss").joinpath("data/materials.json")
+                      .read_text())["materials"][0]
+
+
+# a malformed database, as a function of the shipped BBO record
+MALFORMED_DBS = {
+    "top-level list": lambda bbo: [bbo],
+    "materials an object": lambda bbo: {"materials": {"BBO": bbo}},
+    "materials a number": lambda bbo: {"materials": 5},
+    "entry a string": lambda bbo: {"materials": [bbo, "BBO"]},
+    "d22 a word": lambda bbo: {"materials": [dict(bbo, d22_m_per_V="large")]},
+    "d22 null": lambda bbo: {"materials": [dict(bbo, d22_m_per_V=None)]},
+    "range_um words": lambda bbo: {"materials": [
+        dict(bbo, ordinary=dict(bbo["ordinary"], range_um=["short", "long"]))]},
+    "name a number": lambda bbo: {"materials": [dict(bbo, name=7)]},
+    "name a list": lambda bbo: {"materials": [bbo, dict(bbo, name=["BBO"])]},
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED_DBS)
+def test_cli_malformed_material_db_is_a_parse_error(tmp_path, capsys, shape):
+    db = tmp_path / "materials.json"
+    db.write_text(json.dumps(MALFORMED_DBS[shape](_shipped_bbo())))
+    assert main(["compare-experiment", "--config", sg.builtin_config_path(),
+                 "--out", str(tmp_path / "o"), "--material-db", str(db)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error PARSE:"), err
+
+
+def test_material_db_refuses_a_repeated_name(tmp_path):
+    # a second BBO record would silently replace the first
+    bbo = _shipped_bbo()
+    db = tmp_path / "materials.json"
+    db.write_text(json.dumps({"materials": [bbo, dict(bbo, d22_m_per_V=2 * bbo["d22_m_per_V"])]}))
+    with pytest.raises(ParseError, match=r"materials\[1\]: material 'BBO' repeats "
+                                         r".*materials\[0\]"):
+        sg.load_material_db(str(db))
 
 
 def test_cli_missing_config_exit_code(capsys):
