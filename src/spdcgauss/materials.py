@@ -117,11 +117,18 @@ class CrystalSpec(namedtuple("CrystalSpec", "name ordinary extraordinary d22_m_p
                    mat.d22_m_per_v, length_l, theta_c, phi_c)
 
 
+def _number(value) -> float:
+    """``float(value)``, refusing a JSON ``true``/``false`` as float() would not."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _sellmeier_from_json(obj, where):
     try:
         form = obj["form"]
-        c0, c1, c2, c3 = (float(c) for c in obj["coefficients"])
-        lo_um, hi_um = (float(x) for x in obj["range_um"])
+        c0, c1, c2, c3 = (_number(c) for c in obj["coefficients"])
+        lo_um, hi_um = (_number(x) for x in obj["range_um"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed Sellmeier entry at {where}: {exc}") from exc
     if form != "pole_quadratic":
@@ -173,12 +180,12 @@ def load_material_db(path=None) -> dict:
                 name=name,
                 ordinary=_sellmeier_from_json(m["ordinary"], label + ".ordinary"),
                 extraordinary=_sellmeier_from_json(m["extraordinary"], label + ".extraordinary"),
-                d22_m_per_v=float(m["d22_m_per_V"]),
+                d22_m_per_v=_number(m["d22_m_per_V"]),
                 source_citation=str(m.get("source_citation", "")),
             )
         except KeyError as exc:
             raise ParseError(f"{label}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:  # from float(d22)
+        except (TypeError, ValueError) as exc:  # from _number(d22)
             raise ParseError(f"{label} {name!r}: d22_m_per_V must be a number: {exc}") from exc
         if d_eff_form != "3m_d22":  # the one form effective_nonlinearity_bbo evaluates
             raise ParseError(f"{label} {name!r}: unknown d_eff form {d_eff_form!r}")

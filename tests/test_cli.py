@@ -727,6 +727,7 @@ MALFORMED_DBS = {
     "entry a string": lambda bbo: {"materials": [bbo, "BBO"]},
     "d22 a word": lambda bbo: {"materials": [dict(bbo, d22_m_per_V="large")]},
     "d22 null": lambda bbo: {"materials": [dict(bbo, d22_m_per_V=None)]},
+    "d22 a bool": lambda bbo: {"materials": [dict(bbo, d22_m_per_V=True)]},
     "range_um words": lambda bbo: {"materials": [
         dict(bbo, ordinary=dict(bbo["ordinary"], range_um=["short", "long"]))]},
     "name a number": lambda bbo: {"materials": [dict(bbo, name=7)]},
