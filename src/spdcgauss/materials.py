@@ -170,26 +170,26 @@ def load_material_db(path=None) -> dict:
             raise ParseError(f"{label}: expected an object, got {type(m).__name__}")
         try:
             name = m["name"]
-            if not isinstance(name, str):
-                raise ParseError(f"{label}: name must be a string, got {type(name).__name__}")
-            if name in index:
-                raise ParseError(f"{label}: material {name!r} repeats {where}#materials"
-                                 f"[{index[name]}]")
             d_eff_form = m["d_eff_form"]
-            rec = MaterialRecord(
-                name=name,
-                ordinary=_sellmeier_from_json(m["ordinary"], label + ".ordinary"),
-                extraordinary=_sellmeier_from_json(m["extraordinary"], label + ".extraordinary"),
-                d22_m_per_v=_number(m["d22_m_per_V"]),
-                source_citation=str(m.get("source_citation", "")),
-            )
+            ordinary = _sellmeier_from_json(m["ordinary"], label + ".ordinary")
+            extraordinary = _sellmeier_from_json(m["extraordinary"], label + ".extraordinary")
+            d22 = m["d22_m_per_V"]
         except KeyError as exc:
             raise ParseError(f"{label}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:  # from _number(d22)
+        if not isinstance(name, str):
+            raise ParseError(f"{label}: name must be a string, got {type(name).__name__}")
+        if name in index:
+            raise ParseError(f"{label}: material {name!r} repeats "
+                             f"{where}#materials[{index[name]}]")
+        try:
+            d22 = _number(d22)
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"{label} {name!r}: d22_m_per_V must be a number: {exc}") from exc
         if d_eff_form != "3m_d22":  # the one form effective_nonlinearity_bbo evaluates
             raise ParseError(f"{label} {name!r}: unknown d_eff form {d_eff_form!r}")
-        out[name], index[name] = rec, i
+        out[name] = MaterialRecord(name, ordinary, extraordinary, d22,
+                                   str(m.get("source_citation", "")))
+        index[name] = i
     if not out:
         raise ParseError(f"{where}: no materials defined")
     return out
