@@ -25,11 +25,11 @@ import enum
 import functools
 import json
 import math
-import sys
 from collections import namedtuple
 from importlib import resources
 
 from . import materials
+from .constants import C_LIGHT
 from .errors import ParseError, UnknownMaterial, ValidationError
 
 __all__ = ["Role", "GaussianMode", "AngleConvention", "PolarizationAssignment", "SourceConfig",
@@ -73,7 +73,6 @@ class GaussianMode(namedtuple("GaussianMode", "waist_w lambda_vac theta n role")
 
     @property
     def omega(self) -> float:
-        from .constants import C_LIGHT
         return 2.0 * math.pi * C_LIGHT / self.lambda_vac
 
 
@@ -143,7 +142,7 @@ class SourceConfig(namedtuple("SourceConfig", (
 
 def builtin_config_path(name: str = "bbo_branciard") -> str:
     """Filesystem path of a configuration shipped with the package."""
-    return str(resources.files("spdcgauss").joinpath(f"data/{name}.json"))
+    return str(resources.files(__package__).joinpath(f"data/{name}.json"))
 
 
 def _get(d: dict, read: set, path: str, typ, required=True, default=None):
@@ -157,17 +156,7 @@ def _get(d: dict, read: set, path: str, typ, required=True, default=None):
         if required:
             raise ValidationError(f"missing required field {path!r}")
         return default
-    if typ is float and isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
-        if not abs(leaf) <= sys.float_info.max:  # NaN, +-inf, ints beyond float
-            raise ValidationError(f"field {path!r} must be a finite number")
-        return float(leaf)
-    if typ is int and isinstance(leaf, int) and not isinstance(leaf, bool):
-        return leaf
-    if typ is str and isinstance(leaf, str):
-        return leaf
-    if typ is dict and isinstance(leaf, dict):
-        return leaf
-    raise ParseError(f"field {path!r}: expected {typ.__name__}, got {type(leaf).__name__}")
+    return materials.json_field(leaf, path, typ)
 
 
 def _get_enum(get, path: str, cls, default=None):
@@ -286,15 +275,7 @@ def load_config(path: str, material_db_path: str | None = None,
                 overrides=None) -> SourceConfig:
     """Load, validate and resolve a source-configuration file; an override
     key must name a field the config reads, or an object holding one."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+    raw = materials.read_json(path, "config")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     raw = apply_overrides(raw, overrides)

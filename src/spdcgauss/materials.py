@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
 from importlib import resources
 
@@ -117,23 +118,59 @@ class CrystalSpec(namedtuple("CrystalSpec", "name ordinary extraordinary d22_m_p
                    mat.d22_m_per_v, length_l, theta_c, phi_c)
 
 
-def _number(value) -> float:
-    """``float(value)``, refusing a JSON ``true``/``false`` as float() would not."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _sellmeier_from_json(obj, where):
+def read_json(path, what):
+    """The JSON document at ``path``, read as UTF-8 (``what`` names the file).  This
+    module owns the one reader of both input files and their one field rule,
+    :func:`json_field`; :mod:`spdcgauss.config` uses both.  Unreadable or invalid
+    JSON raises ``ParseError``."""
     try:
-        form = obj["form"]
-        c0, c1, c2, c3 = (_number(c) for c in obj["coefficients"])
-        lo_um, hi_um = (_number(x) for x in obj["range_um"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed Sellmeier entry at {where}: {exc}") from exc
-    if form != "pole_quadratic":
-        raise ParseError(f"{where}: unknown dispersion form {form!r}")
-    return SellmeierSet((c0, c1, c2, c3), (lo_um * 1e-6, hi_um * 1e-6))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+
+
+def json_field(value, where, typ):
+    """``value`` as a ``typ`` field at ``where``: the one field-type rule of both
+    input files.  A float field takes a JSON number, an int field an integer,
+    neither a bool or a quoted number; str, list and dict go by type.  A wrong
+    type raises ``ParseError``, a number beyond the float range (NaN, +-inf, a
+    huge integer) ``ValidationError``."""
+    if typ is float or typ is int:
+        if isinstance(value, (int, typ)) and not isinstance(value, bool):
+            if not abs(value) <= sys.float_info.max:
+                raise ValidationError(f"field {where!r} must be a finite number")
+            return typ(value)
+    elif isinstance(value, typ):
+        return value
+    raise ParseError(f"field {where!r}: expected {typ.__name__}, got {type(value).__name__}")
+
+
+def _field(obj, key, where, typ):
+    """``obj[key]`` as a ``typ`` field; a missing one is a ``ParseError``."""
+    if key not in obj:
+        raise ParseError(f"{where}: missing field {key!r}")
+    return json_field(obj[key], f"{where}.{key}", typ)
+
+
+def _floats(obj, key, where, count):
+    """``obj[key]`` as a tuple of ``count`` float fields."""
+    values, at = _field(obj, key, where, list), f"{where}.{key}"
+    if len(values) != count:
+        raise ParseError(f"field {at!r}: expected {count} numbers, got {len(values)}")
+    return tuple(json_field(v, f"{at}[{k}]", float) for k, v in enumerate(values))
+
+
+def _sellmeier_from_json(record, branch, label):
+    obj, where = _field(record, branch, label, dict), f"{label}.{branch}"
+    if _field(obj, "form", where, str) != "pole_quadratic":
+        raise ParseError(f"{where}: unknown dispersion form {obj['form']!r}")
+    lo_um, hi_um = _floats(obj, "range_um", where, 2)
+    return SellmeierSet(_floats(obj, "coefficients", where, 4), (lo_um * 1e-6, hi_um * 1e-6))
 
 
 def load_material_db(path=None) -> dict:
@@ -141,57 +178,36 @@ def load_material_db(path=None) -> dict:
 
     ``path=None`` loads the database shipped with the package.  Each record
     names its effective-nonlinearity form in ``d_eff_form``; the one form the
-    model evaluates is ``"3m_d22"``, d22 cos^2(theta_c) cos(3 phi_c).  A
-    document of another shape, a record whose name is not a string or repeats
-    an earlier one, and a d22 that is not a number raise ``ParseError``.
+    model evaluates is ``"3m_d22"``, d22 cos^2(theta_c) cos(3 phi_c).  This module
+    owns the reader and the field rule (:func:`read_json`, :func:`json_field`) that
+    :mod:`spdcgauss.config` uses too.  A database of another shape, a missing or
+    mistyped field or a repeated name raises ``ParseError``.
     """
     if path is None:
-        text = resources.files("spdcgauss").joinpath("data/materials.json") \
-            .read_text(encoding="utf-8")
-        where = "<builtin materials.json>"
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read material database {path}: {exc}") from exc
-        where = str(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where} line {exc.lineno}: {exc.msg}") from exc
+        path = str(resources.files(__package__).joinpath("data/materials.json"))
+    doc = read_json(path, "material database")
     records = doc.get("materials", []) if isinstance(doc, dict) else None
     if not isinstance(records, list):
-        raise ParseError(f"{where}: expected an object whose \"materials\" is a list")
+        raise ParseError(f"{path}: expected an object whose \"materials\" is a list")
     out, index = {}, {}
     for i, m in enumerate(records):
-        label = f"{where}#materials[{i}]"
-        if not isinstance(m, dict):
-            raise ParseError(f"{label}: expected an object, got {type(m).__name__}")
-        try:
-            name = m["name"]
-            d_eff_form = m["d_eff_form"]
-            ordinary = _sellmeier_from_json(m["ordinary"], label + ".ordinary")
-            extraordinary = _sellmeier_from_json(m["extraordinary"], label + ".extraordinary")
-            d22 = m["d22_m_per_V"]
-        except KeyError as exc:
-            raise ParseError(f"{label}: missing field {exc}") from exc
-        if not isinstance(name, str):
-            raise ParseError(f"{label}: name must be a string, got {type(name).__name__}")
+        label = f"{path}#materials[{i}]"
+        m = json_field(m, label, dict)
+        name = _field(m, "name", label, str)
         if name in index:
-            raise ParseError(f"{label}: material {name!r} repeats "
-                             f"{where}#materials[{index[name]}]")
-        try:
-            d22 = _number(d22)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{label} {name!r}: d22_m_per_V must be a number: {exc}") from exc
+            raise ParseError(f"{label}: material {name!r} repeats {path}#materials[{index[name]}]")
+        d_eff_form = _field(m, "d_eff_form", label, str)
+        ordinary = _sellmeier_from_json(m, "ordinary", label)
+        extraordinary = _sellmeier_from_json(m, "extraordinary", label)
+        d22 = _field(m, "d22_m_per_V", label, float)
         if d_eff_form != "3m_d22":  # the one form effective_nonlinearity_bbo evaluates
             raise ParseError(f"{label} {name!r}: unknown d_eff form {d_eff_form!r}")
-        out[name] = MaterialRecord(name, ordinary, extraordinary, d22,
-                                   str(m.get("source_citation", "")))
+        citation = m.get("source_citation")  # null reads as missing, as in a source config
+        citation = "" if citation is None else _field(m, "source_citation", label, str)
+        out[name] = MaterialRecord(name, ordinary, extraordinary, d22, citation)
         index[name] = i
     if not out:
-        raise ParseError(f"{where}: no materials defined")
+        raise ParseError(f"{path}: no materials defined")
     return out
 
 

@@ -347,6 +347,9 @@ def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     ["compare-experiment", "--config", sg.builtin_config_path(), "--set", "target_angle_deg=0"],
     # under the shipped convention this ran as +3 deg, the model being even in the tilt
     ["rate", "--config", sg.builtin_config_path(), "--set", "collection.external_angle_deg=-3"],
+    # an int field beyond the float range ran into "int too large to convert to float" (exit 3)
+    ["compare-experiment", "--config", sg.builtin_config_path(),
+     "--set", "collection.decay_paths=1" + "0" * 400],
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
@@ -728,6 +731,11 @@ MALFORMED_DBS = {
     "d22 a word": lambda bbo: {"materials": [dict(bbo, d22_m_per_V="large")]},
     "d22 null": lambda bbo: {"materials": [dict(bbo, d22_m_per_V=None)]},
     "d22 a bool": lambda bbo: {"materials": [dict(bbo, d22_m_per_V=True)]},
+    # quoted numbers ran as numbers
+    "d22 quoted": lambda bbo: {"materials": [dict(bbo, d22_m_per_V=str(bbo["d22_m_per_V"]))]},
+    "coefficient quoted": lambda bbo: {"materials": [dict(bbo, ordinary=dict(
+        bbo["ordinary"], coefficients=[str(bbo["ordinary"]["coefficients"][0]),
+                                       *bbo["ordinary"]["coefficients"][1:]]))]},
     "range_um words": lambda bbo: {"materials": [
         dict(bbo, ordinary=dict(bbo["ordinary"], range_um=["short", "long"]))]},
     "name a number": lambda bbo: {"materials": [dict(bbo, name=7)]},
@@ -743,6 +751,18 @@ def test_cli_malformed_material_db_is_a_parse_error(tmp_path, capsys, shape):
                  "--out", str(tmp_path / "o"), "--material-db", str(db)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error PARSE:"), err
+
+
+def test_cli_material_db_infinite_range_bound_is_validation(tmp_path, capsys):
+    # JSON reads 1e400 as inf; the window then sampled NaN wavelengths and exited 3
+    text = json.dumps({"materials": [_shipped_bbo()]})
+    db = tmp_path / "materials.json"
+    db.write_text(text.replace('"range_um": [0.22, 1.06]', '"range_um": [0.22, 1e400]', 1))
+    assert db.read_text() != text
+    assert main(["compare-experiment", "--config", sg.builtin_config_path(),
+                 "--out", str(tmp_path / "o"), "--material-db", str(db)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error VALIDATION:"), err
 
 
 def test_material_db_refuses_a_repeated_name(tmp_path):
