@@ -11,7 +11,8 @@ Run:  python demos/01_longitudinal_overlap.py
 
 import numpy as np
 
-from spdcgauss.modes import phi_z_grid, phi_z_thick, phi_z_thin
+from spdcgauss.curves import phi_z_thick, phi_z_thin
+from spdcgauss.modes import phi_z_grid
 
 dphi = np.linspace(-15.0, 15.0, 1201)
 xis = (0.0, 0.5, 1.0, 2.0, 4.0)

@@ -13,7 +13,7 @@ Run:  python demos/02_spectral_integral.py
 import numpy as np
 from scipy.special import erf
 
-from spdcgauss.modes import spectral_integral_S
+from spdcgauss.curves import spectral_integral_S
 
 
 def parseval(xi):

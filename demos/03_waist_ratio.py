@@ -10,7 +10,7 @@ Run:  python demos/03_waist_ratio.py
 
 import numpy as np
 
-from spdcgauss.modes import gamma_sweep, optimal_gamma, waist_scaling
+from spdcgauss.curves import gamma_sweep, optimal_gamma, waist_scaling
 
 best = optimal_gamma()
 print(f"optimal gamma = {best:.8f}   (1/sqrt(2) = {1 / np.sqrt(2):.8f})")

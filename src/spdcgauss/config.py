@@ -11,9 +11,7 @@ external collection angle is converted per the angle convention.
 
 The source records live here, beside the loader that builds them: Role,
 GaussianMode, AngleConvention, PolarizationAssignment and SourceConfig.
-The named tuples check their fields when built, by ``_replace`` too.
-:mod:`spdcgauss.modes` and :mod:`spdcgauss.rates` re-export them, so
-``modes.GaussianMode`` and ``rates.SourceConfig`` are the same objects.  This
+The named tuples check their fields when built, by ``_replace`` too.  This
 module imports only :mod:`~spdcgauss.materials`, :mod:`~spdcgauss.errors` and
 :mod:`~spdcgauss.constants`: loading a source compiles none of the geometry,
 curve or rate code.
@@ -148,7 +146,8 @@ def builtin_config_path(name: str = "bbo_branciard") -> str:
 def _get(d: dict, read: set, path: str, typ, required=True, default=None):
     read.add(path)
     cur = d
-    parts = path.split(".")
+    # a path is a field or section.field; a reference key may itself hold a dot
+    parts = path.split(".", 1)
     for p in parts[:-1]:
         cur = cur.get(p, {}) if isinstance(cur, dict) else {}
     leaf = cur.get(parts[-1]) if isinstance(cur, dict) else None
@@ -174,9 +173,9 @@ def _get_enum(get, path: str, cls, default=None):
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
-    """Apply ``KEY=VALUE`` overrides (dotted key paths) onto the raw
-    config dict.  Values are parsed as JSON scalars, falling back to
-    strings."""
+    """Apply ``KEY=VALUE`` overrides onto the raw config dict; a key is a
+    config path, read as :func:`_get` reads it.  Values are parsed as JSON
+    scalars, falling back to strings."""
     for item in overrides or []:
         if "=" not in item:
             raise ValidationError(f"override {item!r} is not KEY=VALUE")
@@ -186,7 +185,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         except json.JSONDecodeError:
             parsed = value
         cur = raw
-        parts = key.strip().split(".")
+        parts = key.strip().split(".", 1)
         for p in parts[:-1]:
             cur = cur.setdefault(p, {})
             if not isinstance(cur, dict):

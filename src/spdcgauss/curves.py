@@ -11,8 +11,8 @@ limits, the spectral integral S(Xi) = int |Phi_z/l|^2 d(delta_phi) by
 Plancherel's identity, and the thin-crystal waist-ratio curve with its
 optimum 1/sqrt(2).  Xi = sqrt(H) l/2 is the walk-off parameter and
 delta_phi = K l/2 the longitudinal phase mismatch of
-:mod:`spdcgauss.modes`, which re-exports every public name here and holds
-the geometry and the ndarray overlap kernel.
+:mod:`spdcgauss.modes`, which holds the geometry and the ndarray overlap
+kernel.
 
 This module imports only ``math`` and :mod:`spdcgauss.errors`, so the CLI
 commands that need no source (``figures``, ``spectrum``, ``sweep-xi`` and

@@ -16,17 +16,13 @@ geometry (Xi = 0) reproduces the familiar sinc; large Xi is the
 overlap-limited regime where the crystal length drops out.
 
 At a float dphi, Phi_z is a closed form of :mod:`spdcgauss.curves`,
-which holds the model's dimensionless curves in float math (phi_z,
-phi_z_curve, their limits, S(Xi) and the waist-ratio curve); this module
-re-exports them, so ``from spdcgauss.modes import phi_z`` gives the same
-object.  phi_z_grid, the one array function, takes an ndarray of dphi and
-integrates an entire function over [0, 1] on a composite Gauss-Legendre
-rule whose panel count follows the largest phase and the Gaussian decay.
-numpy loads inside phi_z_grid only, and never numpy.polynomial;
-everything else here is plain float math.  OverlapGeometry is a named
-tuple that checks its fields when built, by ``_replace`` too; Role and
-GaussianMode, the records a source is built from, live in
-:mod:`spdcgauss.config` and are re-exported here.
+which holds the model's dimensionless curves in float math.  phi_z_grid,
+the one array function, takes an ndarray of dphi and integrates an entire
+function over [0, 1] on a composite Gauss-Legendre rule whose panel count
+follows the largest phase and the Gaussian decay.  numpy loads inside
+phi_z_grid only, and never numpy.polynomial; everything else here is
+plain float math.  OverlapGeometry is a named tuple that checks its
+fields when built, by ``_replace`` too.
 """
 
 from __future__ import annotations
@@ -35,39 +31,17 @@ import math
 from collections import namedtuple
 
 from .config import GaussianMode, Role
-from .curves import (
-    DELTA_PHI_MAX,
-    _checked_delta_phi,
-    gamma_sweep,
-    optimal_gamma,
-    phi_z,
-    phi_z_curve,
-    phi_z_thick,
-    phi_z_thin,
-    spectral_integral_S,
-    uniform_grid,
-    waist_scaling,
-)
+# nothing here calls spectral_integral_S: perfbench/tracer.py's TARGETS looks it up here
+from .curves import _checked_delta_phi, phi_z, spectral_integral_S
 from .errors import NegativeH, ValidationError
 
 __all__ = [
-    "Role",
-    "GaussianMode",
     "OverlapGeometry",
     "normalization_alpha",
     "geometry_coefficients",
-    "phi_z",
     "phi_z_grid",
-    "phi_z_curve",
-    "phi_z_thin",
-    "phi_z_thick",
     "longitudinal_k",
     "overlap_phi",
-    "spectral_integral_S",
-    "waist_scaling",
-    "optimal_gamma",
-    "uniform_grid",
-    "gamma_sweep",
 ]
 
 # magnitude below which a negative H = F - D^2/(4C) is treated as

@@ -6,9 +6,7 @@ Everything is evaluated at fixed nominal refractive indices (taken at
 the pump and degenerate daughter wavelengths) -- the indices sit outside
 the spectral integral in this model.  Transverse phase matching is taken
 as perfect (delta_k_y = 0) throughout the rate expressions.  RateReport is a
-named tuple that checks its fields when built, by ``_replace`` too;
-AngleConvention, PolarizationAssignment and SourceConfig live in
-:mod:`spdcgauss.config`, which builds them, and are re-exported here.
+named tuple that checks its fields when built, by ``_replace`` too.
 """
 
 from __future__ import annotations
@@ -17,14 +15,14 @@ import math
 from collections import namedtuple
 
 from . import materials, modes
-from .config import AngleConvention, PolarizationAssignment, SourceConfig
+from .config import AngleConvention, SourceConfig
 from .constants import C_LIGHT, EPSILON_0, HBAR
+from .curves import spectral_integral_S
 from .errors import ComputationError, UnequalWaists, ValidationError
 from .materials import dispersion_factor
-from .modes import geometry_coefficients, spectral_integral_S
+from .modes import geometry_coefficients
 
-__all__ = ["AngleConvention", "PolarizationAssignment", "SourceConfig", "RateReport",
-           "ComparisonRow", "pump_amplitude_sq", "closed_form_report", "total_rate",
+__all__ = ["RateReport", "ComparisonRow", "pump_amplitude_sq", "closed_form_report", "total_rate",
            "comparison_rows", "experiment_comparison"]
 
 # total_rate samples the spectrum at this many signal frequencies,

@@ -5,9 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 import spdcgauss as sg
+from spdcgauss.config import AngleConvention, GaussianMode, Role, SourceConfig
 from spdcgauss.constants import C_LIGHT, EPSILON_0
-from spdcgauss.modes import GaussianMode, Role
-from spdcgauss.rates import AngleConvention, SourceConfig
 
 
 @pytest.fixture(scope="session")

@@ -17,17 +17,10 @@ import scipy.special
 import spdcgauss as sg
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
 from conftest import make_config, thin_crystal_rates
-from spdcgauss.modes import (
-    GaussianMode,
-    Role,
-    geometry_coefficients,
-    optimal_gamma,
-    overlap_phi,
-    phi_z,
-    phi_z_grid,
-    spectral_integral_S,
-)
-from spdcgauss.modes import phi_z_thin as sinc
+from spdcgauss.config import GaussianMode, Role
+from spdcgauss.curves import optimal_gamma, phi_z, spectral_integral_S
+from spdcgauss.curves import phi_z_thin as sinc
+from spdcgauss.modes import geometry_coefficients, overlap_phi, phi_z_grid
 from spdcgauss.rates import experiment_comparison, total_rate
 
 

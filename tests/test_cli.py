@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from importlib import resources
 
@@ -104,6 +106,28 @@ def test_overrides_of_absent_fields_objects_and_references(bbo_config):
                                     "reference.new_value=3"])
     assert cfg.signal == bbo_config.signal and cfg.pump == bbo_config.pump
     assert cfg.reference_values["new_value"] == 3.0
+
+
+@pytest.mark.parametrize("value, error", [
+    (1.0, None),
+    (None, "error VALIDATION: missing required field 'reference.x.y'"),
+    ("1.0", "error PARSE: field 'reference.x.y': expected float, got str"),
+    (math.inf, "error VALIDATION: field 'reference.x.y' must be a finite number"),
+], ids=["number", "null", "quoted", "infinite"])
+def test_reference_key_holding_a_dot_is_typed_under_its_own_name(tmp_path, capsys, value, error):
+    with open(sg.builtin_config_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["reference"]["x.y"] = value
+    path = tmp_path / "dotted.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code = main(["compare-experiment", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert capsys.readouterr().err.splitlines() == ([] if error is None else [error])
+    assert code == (0 if error is None else 2)
+    if error is None:
+        cfg = sg.load_config(str(path), overrides=["reference.xi=0.9", "reference.new_value=3",
+                                                   "reference.x.y=2"])
+        assert cfg.reference_values == {**raw["reference"], "xi": 0.9, "new_value": 3.0,
+                                        "x.y": 2.0}
 
 
 @pytest.mark.parametrize("key", ["pump.powr_mw", "target_angle_deg", "crystal.length", ""])
@@ -526,16 +550,33 @@ def test_package_exports_resolve_by_attribute_and_star_import():
         assert namespace[name] is getattr(sg, name), name
     with pytest.raises(AttributeError):
         sg.no_such_name
-    # the source records live in config; modes and rates re-export the same objects
-    for name, home in (("Role", "modes"), ("GaussianMode", "modes"),
-                       ("AngleConvention", "rates"), ("PolarizationAssignment", "rates"),
-                       ("SourceConfig", "rates")):
+    # the source records live in config
+    for name in ("Role", "GaussianMode", "AngleConvention", "PolarizationAssignment",
+                 "SourceConfig"):
         record = getattr(sg.config, name)
-        assert getattr(sg, name) is record and getattr(getattr(sg, home), name) is record, name
+        assert getattr(sg, name) is record, name
         assert record.__module__ == "spdcgauss.config", name
     # a name in a submodule's __all__ that the submodule lacks fails its star import
     for module in ("cli", *sg._SUBMODULES):
         exec(f"from spdcgauss.{module} import *", {})
+
+
+def test_every_public_name_has_one_home():
+    # a submodule's __all__ lists what it defines; errors and constants have none
+    exports = {}
+    for module in ("cli", *sg._SUBMODULES):
+        mod = importlib.import_module(f"spdcgauss.{module}")
+        if hasattr(mod, "__all__"):
+            exports[module] = mod.__all__
+            for name in mod.__all__:
+                value = getattr(mod, name)
+                if isinstance(value, (type, types.FunctionType)):
+                    assert value.__module__ == mod.__name__, (module, name)
+    homes = [name for names in exports.values() for name in names]
+    assert sorted(name for name in set(homes) if homes.count(name) > 1) == []
+    for module, names in sg._LAZY.items():
+        if module in exports:
+            assert set(names) <= set(exports[module]), module
 
 
 def _csv_by_row_join(header, rows):

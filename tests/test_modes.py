@@ -8,24 +8,25 @@ from hypothesis import strategies as st
 
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
 from conftest import phi_z_qawo, spectral_integral_S_direct
-from spdcgauss.errors import ValidationError
-from spdcgauss.modes import (
+from spdcgauss.config import GaussianMode, Role
+from spdcgauss.curves import (
     DELTA_PHI_MAX,
-    GaussianMode,
-    OverlapGeometry,
-    Role,
-    geometry_coefficients,
-    longitudinal_k,
-    normalization_alpha,
-    overlap_phi,
     phi_z,
-    phi_z_grid,
     phi_z_thick,
     phi_z_thin,
     spectral_integral_S,
     uniform_grid,
 )
-from spdcgauss.modes import phi_z_thin as sinc
+from spdcgauss.curves import phi_z_thin as sinc
+from spdcgauss.errors import ValidationError
+from spdcgauss.modes import (
+    OverlapGeometry,
+    geometry_coefficients,
+    longitudinal_k,
+    normalization_alpha,
+    overlap_phi,
+    phi_z_grid,
+)
 
 
 def S_parseval(xi: float) -> float:
@@ -412,12 +413,3 @@ def test_uniform_grid_overflows_where_linspace_does(lo, hi):
         np.linspace(lo, hi, 5)
     with pytest.raises(OverflowError):
         uniform_grid(lo, hi, 5)
-
-
-def test_modes_reexports_the_curves():
-    # the float curves live in curves; modes binds the same objects under its own name
-    import spdcgauss.curves as curves
-    import spdcgauss.modes as modes
-    assert set(curves.__all__) < set(modes.__all__)
-    for name in (*curves.__all__, "DELTA_PHI_MAX"):
-        assert getattr(modes, name) is getattr(curves, name), name

@@ -5,13 +5,13 @@ import pytest
 
 import spdcgauss as sg
 from conftest import make_config, thin_crystal_rates
+from spdcgauss.config import SourceConfig
 from spdcgauss.constants import HBAR
+from spdcgauss.curves import gamma_sweep, optimal_gamma, phi_z_thin, waist_scaling
 from spdcgauss.errors import DegenerateDispersion, UnequalWaists, ValidationError
-from spdcgauss.modes import gamma_sweep, optimal_gamma, phi_z_thin, waist_scaling
 from spdcgauss.rates import (
     SPECTRAL_POINTS,
     SPECTRAL_SPAN_DPHI,
-    SourceConfig,
     _delta_k_z,
     closed_form_report,
     comparison_rows,
