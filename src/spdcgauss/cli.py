@@ -18,7 +18,8 @@ of it is compiled; ``rate`` and ``compare-experiment`` import
 :mod:`spdcgauss.rates` once the source is built.  The records are named
 tuples, so no command loads ``dataclasses``.  ``IMPORT_CONTRACT`` in
 ``tests/test_cli.py`` states which modules each command loads.  Tables are
-streamed to their CSV files, a chunk of rows at a time.
+streamed to their CSV files, a chunk of rows at a time, each by one function
+that ``figures`` shares with the command of that table.
 """
 
 from __future__ import annotations
@@ -131,17 +132,35 @@ def _overlap_rows(xis, lo, hi, points):
     return rows()
 
 
-def _xi_rows(lo, hi, points):
-    from . import curves
-    return [(xi, curves.spectral_integral_S(xi)) for xi in curves.uniform_grid(lo, hi, points)]
+def _overlap_table(args, name, lo, hi, points, xis=FIG_OVERLAP_XIS):
+    if len(xis) * points > MAX_POINTS:  # refused before any row is built
+        raise ValidationError(f"--xi values x --points must not exceed {MAX_POINTS} rows")
+    return (_write_csv(args.out, name, ["xi", "delta_phi", "phi_z_over_l"],
+                       _overlap_rows(xis, lo, hi, points), args.force),
+            {"xi_list": list(xis), "delta_phi": [lo, hi], "points": points})
 
 
-def _gamma_rows(lo, hi, points):
+def _xi_table(args, name, lo, hi, points):
+    from . import curves  # a negative lo is refused by spectral_integral_S
+    rows = [(xi, curves.spectral_integral_S(xi)) for xi in curves.uniform_grid(lo, hi, points)]
+    return (_write_csv(args.out, name, ["xi", "S"], rows, args.force),
+            {"xi": [lo, hi], "points": points})
+
+
+def _gamma_table(args, name, lo, hi, points):
     from . import curves
     sweep = curves.gamma_sweep(lo, hi, points)
-    rel = [r for _, r in sweep]
-    top = rel.index(max(rel))  # the first maximum, as numpy's argmax
-    return [(g, r, int(i == top)) for i, (g, r) in enumerate(sweep)]
+    top = max(range(len(sweep)), key=lambda i: sweep[i][1])  # the first maximum, as argmax
+    rows = [(g, r, int(i == top)) for i, (g, r) in enumerate(sweep)]
+    return (_write_csv(args.out, name, ["gamma", "relative_rate", "is_max"], rows, args.force),
+            {"gamma": [lo, hi], "points": points})
+
+
+# each figure dataset: its manifest key, file, table (that of its command) and grid
+FIGURES = (("longitudinal_overlap", "fig_longitudinal_overlap.csv", _overlap_table,
+            FIG_OVERLAP_RANGE),
+           ("spectral_integral", "fig_spectral_integral.csv", _xi_table, FIG_XI_RANGE),
+           ("waist_ratio", "fig_waist_ratio.csv", _gamma_table, FIG_GAMMA_RANGE))
 
 
 def cmd_rate(args, cfg):
@@ -171,50 +190,26 @@ def cmd_rate(args, cfg):
 
 def cmd_spectrum(args):
     xis = _xi_list(args.xi) if args.xi is not None else FIG_OVERLAP_XIS
-    grid = _grid(args, "dphi")
-    if len(xis) * args.points > MAX_POINTS:  # refused before any row is built
-        raise ValidationError(f"--xi values x --points must not exceed {MAX_POINTS} rows")
-    outputs = [_write_csv(args.out, "spectrum_overlap.csv",
-                          ["xi", "delta_phi", "phi_z_over_l"],
-                          _overlap_rows(xis, *grid), args.force)]
-    return outputs, {"xi_list": list(xis), "delta_phi": [args.dphi_min, args.dphi_max],
-                     "points": args.points}
+    name, params = _overlap_table(args, "spectrum_overlap.csv", *_grid(args, "dphi"), xis)
+    return [name], params
 
 
 def cmd_sweep_xi(args):
-    # a negative --xi-min is refused by spectral_integral_S
-    outputs = [_write_csv(args.out, "sweep_xi.csv", ["xi", "S"],
-                          _xi_rows(*_grid(args, "xi")), args.force)]
-    return outputs, {"xi": [args.xi_min, args.xi_max], "points": args.points}
+    name, params = _xi_table(args, "sweep_xi.csv", *_grid(args, "xi"))
+    return [name], params
 
 
 def cmd_sweep_gamma(args):
-    outputs = [_write_csv(args.out, "sweep_gamma.csv",
-                          ["gamma", "relative_rate", "is_max"],
-                          _gamma_rows(*_grid(args, "gamma")), args.force)]
-    return outputs, {"gamma": [args.gamma_min, args.gamma_max], "points": args.points}
+    name, params = _gamma_table(args, "sweep_gamma.csv", *_grid(args, "gamma"))
+    return [name], params
 
 
 def cmd_figures(args):
     """Regenerate the three standard figure datasets in one invocation."""
-    outputs = []
-    lo, hi, pts = FIG_OVERLAP_RANGE
-    outputs.append(_write_csv(args.out, "fig_longitudinal_overlap.csv",
-                              ["xi", "delta_phi", "phi_z_over_l"],
-                              _overlap_rows(FIG_OVERLAP_XIS, lo, hi, pts), args.force))
-    xlo, xhi, xpts = FIG_XI_RANGE
-    outputs.append(_write_csv(args.out, "fig_spectral_integral.csv", ["xi", "S"],
-                              _xi_rows(xlo, xhi, xpts), args.force))
-    glo, ghi, gpts = FIG_GAMMA_RANGE
-    outputs.append(_write_csv(args.out, "fig_waist_ratio.csv",
-                              ["gamma", "relative_rate", "is_max"],
-                              _gamma_rows(glo, ghi, gpts), args.force))
-    params = {
-        "longitudinal_overlap": {"xi_list": list(FIG_OVERLAP_XIS),
-                                 "delta_phi": [lo, hi], "points": pts},
-        "spectral_integral": {"xi": [xlo, xhi], "points": xpts},
-        "waist_ratio": {"gamma": [glo, ghi], "points": gpts},
-    }
+    outputs, params = [], {}
+    for key, name, table, grid in FIGURES:
+        written, params[key] = table(args, name, *grid)
+        outputs.append(written)
     outputs.append(_write_json(args.out, "figures_manifest.json", params, args.force))
     return outputs, params
 
@@ -257,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Photon-pair rates for SPDC into single Gaussian modes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, source=False):
+    def command(name, run, summary, source=False, grid=None):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         p.add_argument("--out", default=".", help="output directory")
@@ -268,23 +263,21 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override a config field (dotted path)")
             p.add_argument("--material-db", help="alternative material database JSON")
+        if grid:  # (flag, (min, max, points)): the grid flags _grid reads
+            flag, (lo, hi, points) = grid
+            p.add_argument(f"--{flag}-min", type=float, default=lo)
+            p.add_argument(f"--{flag}-max", type=float, default=hi)
+            p.add_argument("--points", type=int, default=points)
         return p
 
     command("rate", cmd_rate, "total rate report for a config", source=True)
-    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves")
-    p.add_argument("--xi", help="comma-separated walk-off values "
-                               "(default 0,0.5,1,2,4)")
-    p.add_argument("--dphi-min", type=float, default=FIG_OVERLAP_RANGE[0])
-    p.add_argument("--dphi-max", type=float, default=FIG_OVERLAP_RANGE[1])
-    p.add_argument("--points", type=int, default=FIG_OVERLAP_RANGE[2])
-    p = command("sweep-xi", cmd_sweep_xi, "spectral integral S versus walk-off")
-    p.add_argument("--xi-min", type=float, default=FIG_XI_RANGE[0])
-    p.add_argument("--xi-max", type=float, default=FIG_XI_RANGE[1])
-    p.add_argument("--points", type=int, default=FIG_XI_RANGE[2])
-    p = command("sweep-gamma", cmd_sweep_gamma, "relative rate versus waist ratio")
-    p.add_argument("--gamma-min", type=float, default=FIG_GAMMA_RANGE[0])
-    p.add_argument("--gamma-max", type=float, default=FIG_GAMMA_RANGE[1])
-    p.add_argument("--points", type=int, default=FIG_GAMMA_RANGE[2])
+    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves",
+                grid=("dphi", FIG_OVERLAP_RANGE))
+    p.add_argument("--xi", help="comma-separated walk-off values (default 0,0.5,1,2,4)")
+    command("sweep-xi", cmd_sweep_xi, "spectral integral S versus walk-off",
+            grid=("xi", FIG_XI_RANGE))
+    command("sweep-gamma", cmd_sweep_gamma, "relative rate versus waist ratio",
+            grid=("gamma", FIG_GAMMA_RANGE))
     command("figures", cmd_figures, "regenerate all figure datasets")
     command("compare-experiment", cmd_compare_experiment,
             "model vs reference values for a config", source=True)

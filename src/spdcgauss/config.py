@@ -175,14 +175,15 @@ def _get_enum(get, path: str, cls, default=None):
 def apply_overrides(raw: dict, overrides) -> dict:
     """Apply ``KEY=VALUE`` overrides onto the raw config dict; a key is a
     config path, read as :func:`_get` reads it.  Values are parsed as JSON
-    scalars, falling back to strings."""
+    scalars, falling back to strings where the decoder refuses them (malformed,
+    nested too deep, or an integer of too many digits)."""
     for item in overrides or []:
         if "=" not in item:
             raise ValidationError(f"override {item!r} is not KEY=VALUE")
         key, _, value = item.partition("=")
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
             parsed = value
         cur = raw
         parts = key.strip().split(".", 1)

@@ -122,7 +122,8 @@ def read_json(path, what):
     """The JSON document at ``path``, read as UTF-8 (``what`` names the file).  This
     module owns the one reader of both input files and their one field rule,
     :func:`json_field`; :mod:`spdcgauss.config` uses both.  Unreadable or invalid
-    JSON raises ``ParseError``."""
+    JSON, and JSON the decoder refuses (nesting too deep for the recursion limit,
+    an integer of more digits than ``int`` converts), raises ``ParseError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -132,6 +133,8 @@ def read_json(path, what):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def json_field(value, where, typ):

@@ -12,6 +12,7 @@ named tuple that checks its fields when built, by ``_replace`` too.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from . import materials, modes
@@ -119,16 +120,30 @@ def _sample_range(config: SourceConfig, disp: float):
     return lo, hi, center
 
 
+def _product(config: SourceConfig, what: str, *factors) -> float:
+    """The left-to-right product of ``factors``.  Where d_eff != 0, refuses a
+    partial product below the smallest normal float: its digits, or all of it,
+    were lost to underflow, and a rate or efficiency would read short or 0."""
+    product = 1.0
+    for factor in factors:
+        product *= factor
+        if not abs(product) >= sys.float_info.min and config.d_eff != 0.0:
+            raise ComputationError(f"{what} = {product!r} underflows the float range")
+    return product
+
+
 def _pair_rate(config: SourceConfig, S: float, angular: float, dn: float) -> float:
     """The closed-form R_T of :func:`total_rate` for spectral integral
     ``S``, angular factor ``1 + cos^2 th_i + cos^2 th_s`` and
     ``dn = |n_i cos th_i - n_s cos th_s|``; refuses a rate beyond the
-    float range."""
+    float range, and one whose 4 d^2 P l underflows."""
     omega_p = config.pump.omega
     d = config.d_eff
     wp = config.pump.waist_w
     n_p, n_s, n_i = config.pump.n, config.signal.n, config.idler.n
-    rate = (4.0 * d * d * config.pump_power_p * config.crystal.length_l * omega_p ** 2 * S
+    lead = _product(config, "4 d_eff^2 P l", 4.0, d, d, config.pump_power_p,
+                    config.crystal.length_l)
+    rate = (lead * omega_p ** 2 * S
             / (3.0 * math.pi * n_p * n_s * n_i * EPSILON_0 * C_LIGHT ** 2
                * (math.pi * wp * wp) * angular * dn))
     if not math.isfinite(rate):
@@ -155,9 +170,10 @@ def _require_equal_waists(config: SourceConfig):
 def _efficiencies(config: SourceConfig, rate: float):
     """``rate`` in pairs per pump photon per mm of crystal, and that per
     sr of collection solid angle (None when the config gives none); refuses
-    an efficiency beyond the float range."""
+    an efficiency beyond the float range, and one whose rate hbar omega_p underflows."""
     length_mm = config.crystal.length_l * 1e3
-    eff_mm = rate * HBAR * config.pump.omega / (config.pump_power_p * length_mm)
+    eff_mm = (_product(config, "rate hbar omega_p", rate, HBAR, config.pump.omega)
+              / (config.pump_power_p * length_mm))
     if config.collection_solid_angle_sr is None:
         return eff_mm, None
     eff_mm_sr = eff_mm / config.collection_solid_angle_sr
@@ -211,6 +227,8 @@ def closed_form_report(config: SourceConfig) -> RateReport:
                                  config.crystal.length_l)
     S = spectral_integral_S(geom.Xi)
     disp = _dispersion(config)
+    # refuses what total_rate's spectrum cannot sample, a crystal too short for it first
+    center = _sample_range(config, disp)[2]
     if disp < 0:
         warnings.append(
             "(n_i cos th_i - n_s cos th_s) is negative; the rate uses its "
@@ -220,8 +238,6 @@ def closed_form_report(config: SourceConfig) -> RateReport:
     r_t = _pair_rate(config, S, angular, abs(disp) * C_LIGHT)
     # at theta = 0, S = pi and the angular factor is 3: R_T is the thin rate
     r_thin = r_t if ths == 0.0 and thi == 0.0 else None
-    # refuses what total_rate's spectrum cannot sample
-    center = _sample_range(config, disp)[2]
     offset = center / (config.pump.omega / 2.0) - 1.0
     if abs(offset) > DEGENERACY_OFFSET_MAX:
         warnings.append(
@@ -279,7 +295,7 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
     carried in the config (observed/predicted rates, efficiencies), as a
     list of :class:`ComparisonRow`.  ``report`` is the config's
     :func:`closed_form_report` or :func:`total_rate`; a walk-off warning
-    is appended to its ``warnings``.
+    is appended to its ``warnings`` unless they already hold it.
 
     The observable rate applies the experiment-specific factors: the
     measured pair-to-singles ratio and the decay-path multiplicity
@@ -297,13 +313,13 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
 
     ref = config.reference_values or {}
     ref_xi = ref.get("xi")
+    walk_off = ("walk-off parameter uses Snell-refracted internal angles and "
+                "deviates from the reference value; the reference is reproduced "
+                "under the 'paper_external_as_internal' convention")
     if (config.angle_convention is AngleConvention.INTERNAL_PHYSICS
-            and ref_xi and abs(report.Xi - ref_xi) / ref_xi > 0.05):
-        report.warnings.append(
-            "walk-off parameter uses Snell-refracted internal angles and "
-            "deviates from the reference value; the reference is reproduced "
-            "under the 'paper_external_as_internal' convention"
-        )
+            and ref_xi and abs(report.Xi - ref_xi) / ref_xi > 0.05
+            and walk_off not in report.warnings):
+        report.warnings.append(walk_off)
     per_mw = 1e3 * config.pump_power_p  # rates are quoted per mW of pump
 
     def row(name, model, key):

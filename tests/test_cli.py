@@ -331,9 +331,17 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     # waists whose overlap coefficients A and C have a product that underflows to 0
     ["rate", "--set", "pump.waist_um=1e100", "--set", "signal.waist_um=1e100",
      "--set", "idler.waist_um=1e100"],
+    # a 4 d^2 P l or a rate hbar omega_p below the smallest normal float: R_T and the
+    # efficiencies read short of digits, or 0.0, and exited 0
+    *(["compare-experiment", "--set", f"pump.power_mw={p}"]
+      for p in ("1e-278", "1e-280", "1e-290", "1e-297", "1e-320")),
+    ["rate", "--set", "pump.power_mw=1e-297"],
+    ["compare-experiment", "--set", "crystal.length_mm=1e-300"],
 ], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow",
         "efficiency-overflow", "thin-efficiency-overflow", "gamma-underflow",
-        "waist-underflow", "waist-overflow", "overlap-underflow"])
+        "waist-underflow", "waist-overflow", "overlap-underflow", "efficiency-underflow",
+        "rate-underflow-1e-280", "rate-underflow-1e-290", "rate-underflow-1e-297",
+        "rate-underflow-1e-320", "total-rate-underflow", "length-underflow"])
 def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
     source = ["--config", sg.builtin_config_path()] if argv[0] != "sweep-gamma" else []
@@ -806,6 +814,26 @@ def test_cli_material_db_infinite_range_bound_is_validation(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error VALIDATION:"), err
 
 
+# JSON the decoder refuses: a 2 KB array nested past the recursion limit, and an
+# integer of more digits than int() converts; each ended in a traceback (exit 1)
+UNDECODABLE_JSON = {"nested 2000 deep": "[" * 2000 + "]" * 2000,
+                    "5000-digit integer": "1" + "0" * 4999}
+
+
+@pytest.mark.parametrize("shape", UNDECODABLE_JSON)
+@pytest.mark.parametrize("entry", ["--config", "--material-db", "--set"])
+def test_cli_undecodable_json_is_a_parse_error(tmp_path, capsys, entry, shape):
+    text = UNDECODABLE_JSON[shape]
+    path = tmp_path / "input.json"
+    path.write_text(text if entry != "--config" else '{"pump": {"power_mw": %s}}' % text)
+    source = {"--config": ["--config", str(path)],
+              "--material-db": ["--config", sg.builtin_config_path(), "--material-db", str(path)],
+              "--set": ["--config", sg.builtin_config_path(), "--set", "pump.power_mw=" + text]}
+    assert main(["rate", *source[entry], "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error PARSE:"), err
+
+
 def test_material_db_refuses_a_repeated_name(tmp_path):
     # a second BBO record would silently replace the first
     bbo = _shipped_bbo()
@@ -818,6 +846,22 @@ def test_material_db_refuses_a_repeated_name(tmp_path):
 
 def test_cli_missing_config_exit_code(capsys):
     assert main(["rate"]) == 2
+
+
+def test_figures_are_the_command_tables_at_their_defaults(tmp_path):
+    # figures writes each dataset through its command's table function
+    figures = tmp_path / "figures"
+    assert main(["figures", "--out", str(figures)]) == 0
+    manifest = json.loads((figures / "figures_manifest.json").read_text())
+    for command, table, figure, key in [
+            ("spectrum", "spectrum_overlap.csv", "fig_longitudinal_overlap.csv",
+             "longitudinal_overlap"),
+            ("sweep-xi", "sweep_xi.csv", "fig_spectral_integral.csv", "spectral_integral"),
+            ("sweep-gamma", "sweep_gamma.csv", "fig_waist_ratio.csv", "waist_ratio")]:
+        out = tmp_path / command
+        assert main([command, "--out", str(out)]) == 0
+        assert (out / table).read_bytes() == (figures / figure).read_bytes()
+        assert json.loads((out / "run_manifest.json").read_text())["parameters"] == manifest[key]
 
 
 def test_cli_determinism_sweep(tmp_path):

@@ -8,7 +8,12 @@ from conftest import make_config, thin_crystal_rates
 from spdcgauss.config import SourceConfig
 from spdcgauss.constants import HBAR
 from spdcgauss.curves import gamma_sweep, optimal_gamma, phi_z_thin, waist_scaling
-from spdcgauss.errors import DegenerateDispersion, UnequalWaists, ValidationError
+from spdcgauss.errors import (
+    ComputationError,
+    DegenerateDispersion,
+    UnequalWaists,
+    ValidationError,
+)
 from spdcgauss.rates import (
     SPECTRAL_POINTS,
     SPECTRAL_SPAN_DPHI,
@@ -327,3 +332,42 @@ def test_waist_scaling_beyond_float_range_raises():
                    (1e-300, 1.0, 1.0), (1e-100, 1e-100, 1e-100), (1e200, 1e200, 1e200)):
         with pytest.raises(OverflowError, match=r"waist_scaling\(.*\) leaves the float range"):
             waist_scaling(*waists)
+
+
+def test_comparison_rows_warns_of_walk_off_once():
+    # each call appended the warning again
+    cfg = sg.load_config(sg.builtin_config_path(), overrides=["angle_convention=internal_physics"])
+    report = closed_form_report(cfg)
+    first = comparison_rows(cfg, report)
+    assert comparison_rows(cfg, report) == first
+    assert sum("walk-off parameter" in w for w in report.warnings) == 1
+
+
+# pump powers (mW) and crystal lengths (mm) whose 4 d^2 P l, or rate hbar omega_p,
+# falls below the smallest normal float: R_T lost digits or read 0
+UNDERFLOWING_SOURCES = [
+    ({"power_mw": 1e-278}, "rate hbar omega_p"),
+    ({"power_mw": 1e-280}, "4 d_eff"),
+    ({"power_mw": 1e-290}, "4 d_eff"),
+    ({"power_mw": 1e-297}, "4 d_eff"),
+    ({"power_mw": 1e-320}, "4 d_eff"),
+    ({"length_mm": 1e-300}, "4 d_eff"),
+]
+
+
+@pytest.mark.parametrize("source, product", UNDERFLOWING_SOURCES,
+                         ids=["P=1e-278", "P=1e-280", "P=1e-290", "P=1e-297", "P=1e-320",
+                              "l=1e-300"])
+def test_underflowing_rate_is_refused(source, product):
+    cfg = make_config(theta_deg=0.0, **source)
+    with pytest.raises(ComputationError, match=f"{product}.* underflows the float range"):
+        closed_form_report(cfg)
+    with pytest.raises(ComputationError, match="underflows the float range"):
+        comparison_rows(cfg, closed_form_report(make_config(theta_deg=0.0)))
+
+
+def test_vanishing_d_eff_is_a_zero_rate_at_any_power():
+    # the underflow guard holds only where d_eff != 0: d_eff = 0 is a true zero rate
+    report = closed_form_report(make_config(power_mw=1e-320, d22_scale=0.0))
+    assert report.R_T == report.efficiency_per_mm == 0.0
+    assert any("d_eff" in w for w in report.warnings)
