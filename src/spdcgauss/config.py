@@ -23,6 +23,7 @@ import enum
 import functools
 import json
 import math
+import sys
 from collections import namedtuple
 from importlib import resources
 
@@ -117,11 +118,16 @@ class SourceConfig(namedtuple("SourceConfig", (
         if not 0 < self.pump_power_p < math.inf:
             raise ValidationError("pump_power must be finite and > 0")
         if self.collection_solid_angle_sr is not None \
-                and not 0 < self.collection_solid_angle_sr < math.inf:
-            raise ValidationError("collection.solid_angle_sr must be finite and > 0")
+                and not 0 < self.collection_solid_angle_sr <= 4.0 * math.pi:
+            raise ValidationError("collection.solid_angle_sr must lie in (0, 4 pi]")
         if self.pair_to_singles_ratio is not None \
                 and not 0 < self.pair_to_singles_ratio <= 1:
             raise ValidationError("collection.pair_to_singles_ratio must lie in (0, 1]")
+        for key, value in (self.reference_values or {}).items():
+            # a relative deviation divides by it: 0, a negative or a subnormal value scales none
+            if not sys.float_info.min <= value < math.inf:
+                raise ValidationError(f"reference.{key} must be finite and at least "
+                                      f"the smallest normal float, {sys.float_info.min!r}")
         lam_d = 2.0 * self.pump.lambda_vac
         for m in (self.signal, self.idler):
             if abs(m.lambda_vac - lam_d) > 1e-9 * lam_d:

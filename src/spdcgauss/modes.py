@@ -16,13 +16,13 @@ geometry (Xi = 0) reproduces the familiar sinc; large Xi is the
 overlap-limited regime where the crystal length drops out.
 
 At a float dphi, Phi_z is a closed form of :mod:`spdcgauss.curves`,
-which holds the model's dimensionless curves in float math.  phi_z_grid,
-the one array function, takes an ndarray of dphi and integrates an entire
-function over [0, 1] on a composite Gauss-Legendre rule whose panel count
-follows the largest phase and the Gaussian decay.  numpy loads inside
-phi_z_grid only, and never numpy.polynomial; everything else here is
-plain float math.  OverlapGeometry is a named tuple that checks its
-fields when built, by ``_replace`` too.
+which holds the model's dimensionless curves in float math.  The array
+functions are overlap_phi, over an ndarray of dk_z, and phi_z_grid, which
+it calls over dphi: an entire function integrated over [0, 1] on a composite
+Gauss-Legendre rule whose panels follow the largest phase and the Gaussian
+decay.  numpy loads inside phi_z_grid only, and never numpy.polynomial;
+everything else here is plain float math.  OverlapGeometry is a named tuple
+that checks its fields when built, by ``_replace`` too.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections import namedtuple
 
 from .config import GaussianMode, Role
 # nothing here calls spectral_integral_S: perfbench/tracer.py's TARGETS looks it up here
-from .curves import _checked_delta_phi, phi_z, spectral_integral_S
+from .curves import _checked_delta_phi, spectral_integral_S
 from .errors import NegativeH, ValidationError
 
 __all__ = [
@@ -138,7 +138,7 @@ def geometry_coefficients(
 
 
 def phi_z_grid(xi: float, delta_phi):
-    """:func:`phi_z` over an array of ``delta_phi``, as a 1-D ndarray: a
+    """:func:`~spdcgauss.curves.phi_z` over an array of ``delta_phi``, as a 1-D ndarray: a
     32-point Gauss-Legendre rule tiled over equal panels.  For Xi > 8 the
     range is cut at u = U = 8/Xi, where the weight has fallen below 1e-27
     (otherwise U = 1); the ``1 + ceil(max(|delta_phi|, 2 Xi) U / 32)``
@@ -168,8 +168,8 @@ def phi_z_grid(xi: float, delta_phi):
     return out
 
 
-def longitudinal_k(geom: OverlapGeometry, delta_k_y: float, delta_k_z: float) -> float:
-    """Effective longitudinal mismatch K entering Phi_z.
+def longitudinal_k(geom: OverlapGeometry, delta_k_y: float, delta_k_z):
+    """Effective longitudinal mismatch K entering Phi_z (a float or an ndarray).
 
     K = delta_k_z - delta_k_y * D / (2C).  With perfect transverse phase
     matching (delta_k_y = 0), K reduces to delta_k_z.
@@ -180,22 +180,23 @@ def longitudinal_k(geom: OverlapGeometry, delta_k_y: float, delta_k_z: float) ->
 def overlap_phi(
     geom: OverlapGeometry,
     delta_k_y: float,
-    delta_k_z: float,
+    delta_k_z,
     crystal_length_l: float,
-) -> float:
-    """Full three-mode overlap integral (m^3) at one wave-vector mismatch,
+):
+    """Three-mode overlap integral (m^3), an ndarray over an ndarray of delta_k_z,
 
         Phi = pi/sqrt(A C) * exp(-delta_k_y^2/(4C)) * l * Phi_z/l ,
 
     real-valued because the z-interval is symmetric.  delta_k_x = 0 by
-    construction (all beams lie in the y-z plane).  All arguments are
-    floats; :func:`~spdcgauss.rates.total_rate` evaluates Phi over its
-    spectrum at delta_k_y = 0 through :func:`phi_z_grid`.
+    construction (all beams lie in the y-z plane).  Phi_z/l is
+    :func:`phi_z_grid`; :func:`~spdcgauss.rates.total_rate` evaluates Phi
+    over its spectrum at delta_k_y = 0.
     """
     if not crystal_length_l > 0:
         raise ValidationError("crystal length must be > 0")
+    if not geom.A * geom.C > 0.0:  # the product underflowed: waists beyond ~4e80 m
+        raise OverflowError(f"A*C = {geom.A!r} * {geom.C!r} 1/m^4 leaves the float range")
     K = longitudinal_k(geom, delta_k_y, delta_k_z)
-    dphi = K * crystal_length_l / 2.0
     transverse = math.pi / math.sqrt(geom.A * geom.C) \
         * math.exp(-delta_k_y ** 2 / (4.0 * geom.C))
-    return transverse * crystal_length_l * phi_z(geom.Xi, dphi)
+    return transverse * crystal_length_l * phi_z_grid(geom.Xi, K * crystal_length_l / 2.0)

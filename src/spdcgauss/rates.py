@@ -47,7 +47,8 @@ class RateReport(namedtuple("RateReport", "Xi S R_T R_T_thin spectral_samples "
     mismatch delta_phi = delta_k_z l/2 from :func:`total_rate`, and None
     from :func:`closed_form_report`;
     efficiency_per_mm is pairs per pump photon per mm of crystal,
-    R_T * hbar*omega_p / (P * l_mm), and efficiency_per_mm_sr that per sr.
+    R_T * hbar*omega_p / (P * l_mm), and efficiency_per_mm_sr that per sr;
+    both are None where either falls below the smallest normal float.
     """
 
     __slots__ = ()
@@ -170,7 +171,9 @@ def _require_equal_waists(config: SourceConfig):
 def _efficiencies(config: SourceConfig, rate: float):
     """``rate`` in pairs per pump photon per mm of crystal, and that per
     sr of collection solid angle (None when the config gives none); refuses
-    an efficiency beyond the float range, and one whose rate hbar omega_p underflows."""
+    an efficiency beyond the float range, and one whose rate hbar omega_p
+    underflows.  An efficiency below the smallest normal float is returned:
+    its caller refuses it or leaves it out."""
     length_mm = config.crystal.length_l * 1e3
     eff_mm = (_product(config, "rate hbar omega_p", rate, HBAR, config.pump.omega)
               / (config.pump_power_p * length_mm))
@@ -247,6 +250,11 @@ def closed_form_report(config: SourceConfig) -> RateReport:
             "operation"
         )
     eff_mm, eff_mm_sr = _efficiencies(config, r_t)
+    if any(e is not None and 0.0 < abs(e) < sys.float_info.min for e in (eff_mm, eff_mm_sr)):
+        # R_T no longer grows with l once Xi >> 1, so a long crystal takes them there
+        warnings.append("the efficiencies per mm and per mm sr are not reported: one is below "
+                        "the smallest normal float, as R_T no longer grows with so long a crystal")
+        eff_mm = eff_mm_sr = None
     return RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
                       spectral_samples=None, efficiency_per_mm=eff_mm,
                       efficiency_per_mm_sr=eff_mm_sr, warnings=warnings)
@@ -260,8 +268,8 @@ def total_rate(config: SourceConfig) -> RateReport:
 
         dR/domega_s = [d a_s a_i E_p0 Phi / c]^2 * omega_s omega_i / (2 pi n_s n_i)
 
-    with Phi the overlap of :func:`~spdcgauss.modes.overlap_phi` at
-    delta_k_y = 0 (perfect transverse phase matching) and the exact
+    with Phi the rate's overlap, :func:`~spdcgauss.modes.overlap_phi` at
+    delta_k_y = 0 (perfect transverse phase matching), and the exact
     omega_s * omega_i product.  An overflow, division by zero or invalid
     operation in the spectrum raises ``FloatingPointError``.  Warns when the
     crystal is so long that sampled frequencies repeat.
@@ -271,12 +279,11 @@ def total_rate(config: SourceConfig) -> RateReport:
     lo, hi, _ = _sample_range(config, _dispersion(config))
     l = config.crystal.length_l
     geom = geometry_coefficients(config.pump, config.signal, config.idler, l)
-    if not geom.A * geom.C > 0.0:  # the product underflowed: waists beyond ~4e80 m
-        raise OverflowError(f"A*C = {geom.A!r} * {geom.C!r} 1/m^4 leaves the float range")
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         grid = np.linspace(lo, hi, SPECTRAL_POINTS)
-        dphi = _delta_k_z(config, grid) * l / 2.0
-        phi = math.pi / math.sqrt(geom.A * geom.C) * l * modes.phi_z_grid(geom.Xi, dphi)
+        dkz = _delta_k_z(config, grid)
+        phi = modes.overlap_phi(geom, 0.0, dkz, l)
+        dphi = dkz * l / 2.0
         density = _density_prefactor(config) * grid * (config.pump.omega - grid) * phi * phi
     distinct = 1 + int(np.count_nonzero(np.diff(grid)))  # the grid is monotone
     if distinct < SPECTRAL_POINTS:
@@ -308,8 +315,11 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
     _require_pair_ratio(config)
     ratio = config.pair_to_singles_ratio
     paths = config.decay_path_multiplicity
-    observable = paths * ratio * report.R_T
+    observable = _product(config, "the observable paths ratio R_T", paths, ratio, report.R_T)
     eff_mm, eff_mm_sr = _efficiencies(config, paths * _thin_rate(config))
+    for what, eff in (("efficiency per mm", eff_mm), ("efficiency per mm sr", eff_mm_sr)):
+        if eff is not None:
+            _product(config, what, eff)  # refuses one below the smallest normal float
 
     ref = config.reference_values or {}
     ref_xi = ref.get("xi")
@@ -317,14 +327,17 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
                 "deviates from the reference value; the reference is reproduced "
                 "under the 'paper_external_as_internal' convention")
     if (config.angle_convention is AngleConvention.INTERNAL_PHYSICS
-            and ref_xi and abs(report.Xi - ref_xi) / ref_xi > 0.05
+            and ref_xi is not None and abs(report.Xi - ref_xi) / ref_xi > 0.05
             and walk_off not in report.warnings):
         report.warnings.append(walk_off)
     per_mw = 1e3 * config.pump_power_p  # rates are quoted per mW of pump
 
     def row(name, model, key):
         r = ref.get(key)
-        dev = (model - r) / r if r else None
+        dev = (model - r) / r if r is not None else None
+        if dev is not None and not math.isfinite(100.0 * dev):  # also shown in percent
+            raise ComputationError(f"{name} = {model!r} deviates from reference.{key} = {r!r} "
+                                   "by a ratio beyond the float range")
         return ComparisonRow(name, model, r, dev)
 
     rows = [

@@ -120,7 +120,7 @@ def test_criterion_6_brute_force_overlap_oracle():
         signal = GaussianMode(c["Ws"], 702.2e-9, c["th_s"], 1.65, Role.SIGNAL)
         idler = GaussianMode(c["Wi"], 702.2e-9, c["th_i"], 1.65, Role.IDLER)
         geom = geometry_coefficients(pump, signal, idler, c["l"])
-        closed = overlap_phi(geom, c["dky"], c["dkz"], c["l"])
+        closed = overlap_phi(geom, c["dky"], np.array([c["dkz"]]), c["l"])[0]
         brute = overlap_brute_force(**c)
         worst = max(worst, abs(closed - brute) / abs(brute))
     assert worst < 1e-3

@@ -337,11 +337,21 @@ def test_cli_validation_exit_code(tmp_path, capsys):
       for p in ("1e-278", "1e-280", "1e-290", "1e-297", "1e-320")),
     ["rate", "--set", "pump.power_mw=1e-297"],
     ["compare-experiment", "--set", "crystal.length_mm=1e-300"],
+    # an observable paths ratio R_T, a thin-crystal efficiency per mm or a relative
+    # deviation in percent beyond the float range read subnormal, or inf, and exited 0
+    ["compare-experiment", "--set", "collection.pair_to_singles_ratio=1e-320"],
+    ["compare-experiment", "--set", "pump.power_mw=1e250", "--set", "pump.waist_um=1e150",
+     "--set", "signal.waist_um=1e150", "--set", "idler.waist_um=1e150"],
+    ["compare-experiment", "--set", "reference.xi=5e-307"],
+    ["compare-experiment", "--set", "reference.r_t_per_mw_s=1e-300", "--set", "pump.waist_um=1e-3",
+     "--set", "signal.waist_um=1e-3", "--set", "idler.waist_um=1e-3"],
 ], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow",
         "efficiency-overflow", "thin-efficiency-overflow", "gamma-underflow",
         "waist-underflow", "waist-overflow", "overlap-underflow", "efficiency-underflow",
         "rate-underflow-1e-280", "rate-underflow-1e-290", "rate-underflow-1e-297",
-        "rate-underflow-1e-320", "total-rate-underflow", "length-underflow"])
+        "rate-underflow-1e-320", "total-rate-underflow", "length-underflow",
+        "observable-underflow", "thin-efficiency-underflow", "deviation-percent-overflow",
+        "deviation-overflow"])
 def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
     source = ["--config", sg.builtin_config_path()] if argv[0] != "sweep-gamma" else []
@@ -382,6 +392,12 @@ def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     # an int field beyond the float range ran into "int too large to convert to float" (exit 3)
     ["compare-experiment", "--config", sg.builtin_config_path(),
      "--set", "collection.decay_paths=1" + "0" * 400],
+    # beyond the 4 pi sr of the whole sphere: read as a tiny or subnormal efficiency per sr
+    *(["compare-experiment", "--config", sg.builtin_config_path(),
+       "--set", f"collection.solid_angle_sr={sr}"] for sr in ("20", "1e300")),
+    # a reference that is 0, negative or subnormal scales no relative deviation (it read inf)
+    *(["compare-experiment", "--config", sg.builtin_config_path(), "--set", f"reference.{ref}"]
+      for ref in ("xi=5e-324", "xi=0", "predicted_observable_per_mw_s=-1e-320")),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
@@ -962,3 +978,70 @@ def test_cli_adversarial_inputs_keep_the_error_contract(tmp_path_factory, data):
         assert len(lines) == 1 and err.endswith("\n"), (argv, err)
         match = ERROR_LINE.match(lines[0])
         assert match and EXIT_CODES[match.group(1)] == code, (argv, code, err)
+
+
+def _ladder_keys():
+    """Override keys of the fixed ladder: each field ``config_from_dict`` reads on the
+    shipped config whose value there is not a string or an object (the three waists as
+    one tied key), then each ``OVERRIDE_KEYS`` entry it does not read."""
+    with open(sg.builtin_config_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    read = set()
+    sg.config.config_from_dict(raw, sg.materials.load_material_db(), read)
+
+    def shipped(path):
+        head, _, leaf = path.rpartition(".")
+        return (raw.get(head, {}) if head else raw).get(leaf)
+
+    waists = ("pump.waist_um", "signal.waist_um", "idler.waist_um")
+    keys = [(key,) for key in sorted(read)
+            if key not in waists and not isinstance(shipped(key), (str, dict))]
+    return [waists] + keys + [(key,) for key in OVERRIDE_KEYS if key not in read]
+
+
+LADDER_VALUES = ("0", "-1", "5e-324", "1e-320", "1e-300", "1e-30", "1e30", "1e300", "1e400")
+
+
+def _numeric_cells(path):
+    _, rows = read_csv(path)
+    for row in rows:
+        for cell in row:
+            try:
+                yield row[0], float(cell)
+            except ValueError:  # a quantity name, or "" for an absent value
+                pass
+
+
+def test_cli_field_ladder_exit_0_reports_only_normal_finite_numbers(tmp_path):
+    # every numeric field at each rung of a fixed ladder: a refusal is one stderr line,
+    # and an exit 0 writes no overflowed, NaN or subnormal (underflowed) number
+    keys = _ladder_keys()
+    assert ("reference.predicted_observable_per_mw_s",) in keys and ("crystal",) in keys
+    for command, tables in (("rate", ("rate_report.csv",)),
+                            ("compare-experiment", ("comparison.csv",))):
+        out = tmp_path / command
+        for fields in keys:
+            for value in LADDER_VALUES:
+                argv = [command, "--config", sg.builtin_config_path(), "--out", str(out),
+                        "--force"]
+                for key in fields:
+                    argv += ["--set", f"{key}={value}"]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("error")  # a warning would be a second stderr line
+                    code = main(argv)
+                err = stderr.getvalue()
+                assert code in (0, 2, 3), (argv, code, err)
+                if code != 0:
+                    lines = err.splitlines()
+                    assert len(lines) == 1 and err.endswith("\n"), (argv, err)
+                    match = ERROR_LINE.match(lines[0])
+                    assert match and EXIT_CODES[match.group(1)] == code, (argv, code, err)
+                    continue
+                assert err == "", (argv, err)
+                for table in tables:
+                    for quantity, number in _numeric_cells(out / table):
+                        assert math.isfinite(number) and (
+                            number == 0.0 or abs(number) >= sys.float_info.min), \
+                            (argv, table, quantity, number)

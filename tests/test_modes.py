@@ -248,17 +248,17 @@ def test_sinc_array():
 def test_overlap_phi_collinear_equal_waists():
     w, l = 82e-6, 2e-3
     g = geometry(waists=(w, w, w), thetas=(0.0, 0.0), l=l)
-    phi = overlap_phi(g, 0.0, 0.0, l)
-    assert phi == pytest.approx(math.pi * w * w * l / 3.0, rel=1e-9)
+    phi = overlap_phi(g, 0.0, np.array([0.0]), l)
+    assert phi.shape == (1,) and phi[0] == pytest.approx(math.pi * w * w * l / 3.0, rel=1e-9)
 
 
 def test_overlap_phi_transverse_factorization():
     w, l = 50e-6, 1e-3
     g = geometry(waists=(w, w, w), thetas=(math.radians(2.0), math.radians(2.0)), l=l)
-    base = overlap_phi(g, 0.0, 500.0, l)
+    base = overlap_phi(g, 0.0, np.array([500.0]), l)[0]
     dky = 4000.0
     # equal waists and angles: D = 0, so dky only enters the Gaussian factor
-    shifted = overlap_phi(g, dky, 500.0, l)
+    shifted = overlap_phi(g, dky, np.array([500.0]), l)[0]
     assert shifted / base == pytest.approx(math.exp(-dky**2 / (4 * g.C)), rel=1e-9)
 
 
@@ -275,7 +275,7 @@ def test_overlap_phi_brute_force_single():
     s = GaussianMode(c["Ws"], 702.2e-9, c["th_s"], 1.65, Role.SIGNAL)
     i = GaussianMode(c["Wi"], 702.2e-9, c["th_i"], 1.65, Role.IDLER)
     g = geometry_coefficients(p, s, i, c["l"])
-    closed = overlap_phi(g, c["dky"], c["dkz"], c["l"])
+    closed = overlap_phi(g, c["dky"], np.array([c["dkz"]]), c["l"])[0]
     brute = overlap_brute_force(**c)
     assert closed == pytest.approx(brute, rel=1e-3)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -371,3 +372,19 @@ def test_vanishing_d_eff_is_a_zero_rate_at_any_power():
     report = closed_form_report(make_config(power_mw=1e-320, d22_scale=0.0))
     assert report.R_T == report.efficiency_per_mm == 0.0
     assert any("d_eff" in w for w in report.warnings)
+
+
+def test_efficiencies_below_the_normal_floats_are_left_out_of_the_report():
+    # R_T saturates once Xi >> 1, so R_T hbar omega_p / (P l_mm) falls as 1/l: about
+    # 1.5e-312 at l = 1e297 m, a subnormal number that is left out, with a warning
+    report = closed_form_report(make_config(length_mm=1e300))
+    assert 0.0 < report.R_T < math.inf
+    assert report.efficiency_per_mm is None and report.efficiency_per_mm_sr is None
+    assert sum("smallest normal float" in w for w in report.warnings) == 1
+    # ~1e-307 per mm is normal, but its value per 4 pi sr is not: both are left out
+    cfg = make_config(length_mm=1.48e295)._replace(collection_solid_angle_sr=4 * math.pi)
+    report = closed_form_report(cfg)
+    assert report.efficiency_per_mm is None and report.efficiency_per_mm_sr is None
+    report = closed_form_report(make_config(length_mm=1e280))
+    assert report.efficiency_per_mm >= sys.float_info.min
+    assert not any("smallest normal float" in w for w in report.warnings)
