@@ -171,10 +171,6 @@ def cmd_rate(args, cfg):
         ("S", report.S),
         ("R_T_pairs_per_s", report.R_T),
         ("R_T_thin_pairs_per_s", "" if report.R_T_thin is None else report.R_T_thin),
-        ("efficiency_per_mm",
-         "" if report.efficiency_per_mm is None else report.efficiency_per_mm),
-        ("efficiency_per_mm_sr",
-         "" if report.efficiency_per_mm_sr is None else report.efficiency_per_mm_sr),
         ("pump_power_W", cfg.pump_power_p),
     ]
     outputs = [_write_csv(args.out, "rate_report.csv", ["quantity", "value"],

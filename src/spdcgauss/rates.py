@@ -1,6 +1,7 @@
 """Absolute emission rates: pump amplitude from power, spectral density,
 total pair rate for matched non-collinear geometry (with the thin-crystal
-rate as its collinear value) and efficiency figures.
+rate as its collinear value) and the comparison with reference values,
+efficiency figures included.
 
 Everything is evaluated at fixed nominal refractive indices (taken at
 the pump and degenerate daughter wavelengths) -- the indices sit outside
@@ -36,8 +37,7 @@ SPECTRAL_SPAN_DPHI = 100.0
 DEGENERACY_OFFSET_MAX = 0.1
 
 
-class RateReport(namedtuple("RateReport", "Xi S R_T R_T_thin spectral_samples "
-                                          "efficiency_per_mm efficiency_per_mm_sr warnings")):
+class RateReport(namedtuple("RateReport", "Xi S R_T R_T_thin spectral_samples warnings")):
     """Computed quantities with units.
 
     R_T and R_T_thin are pairs/s into the two collection modes (R_T_thin,
@@ -45,10 +45,9 @@ class RateReport(namedtuple("RateReport", "Xi S R_T R_T_thin spectral_samples "
     spectral_samples is a (SPECTRAL_POINTS, 3) float ndarray whose columns
     are omega_s [rad/s], dR/domega_s [pairs s/rad /s] and the phase
     mismatch delta_phi = delta_k_z l/2 from :func:`total_rate`, and None
-    from :func:`closed_form_report`;
-    efficiency_per_mm is pairs per pump photon per mm of crystal,
-    R_T * hbar*omega_p / (P * l_mm), and efficiency_per_mm_sr that per sr;
-    both are None where either falls below the smallest normal float.
+    from :func:`closed_form_report`.  The conversion efficiencies are not
+    here: :func:`comparison_rows` quotes them in the thin-crystal
+    normalization, the one in which "per mm" is well defined.
     """
 
     __slots__ = ()
@@ -169,20 +168,22 @@ def _require_equal_waists(config: SourceConfig):
 
 
 def _efficiencies(config: SourceConfig, rate: float):
-    """``rate`` in pairs per pump photon per mm of crystal, and that per
-    sr of collection solid angle (None when the config gives none); refuses
-    an efficiency beyond the float range, and one whose rate hbar omega_p
-    underflows.  An efficiency below the smallest normal float is returned:
-    its caller refuses it or leaves it out."""
+    """``rate`` (the comparison's paths x R_T_thin) in pairs per pump photon
+    per mm of crystal, and that per sr of collection solid angle (None when
+    the config gives none); refuses an efficiency beyond the float range, one
+    whose rate hbar omega_p underflows, and one below the smallest normal
+    float."""
     length_mm = config.crystal.length_l * 1e3
     eff_mm = (_product(config, "rate hbar omega_p", rate, HBAR, config.pump.omega)
               / (config.pump_power_p * length_mm))
+    _product(config, "efficiency per mm", eff_mm)
     if config.collection_solid_angle_sr is None:
         return eff_mm, None
     eff_mm_sr = eff_mm / config.collection_solid_angle_sr
     if not math.isfinite(eff_mm_sr):
         raise ComputationError(f"efficiency {eff_mm_sr} pairs per pump photon per mm sr "
                                "is beyond the float range")
+    _product(config, "efficiency per mm sr", eff_mm_sr)
     return eff_mm, eff_mm_sr
 
 
@@ -249,15 +250,8 @@ def closed_form_report(config: SourceConfig) -> RateReport:
             f"{2e9 * config.pump.lambda_vac:.1f} nm; the closed form assumes near-degenerate "
             "operation"
         )
-    eff_mm, eff_mm_sr = _efficiencies(config, r_t)
-    if any(e is not None and 0.0 < abs(e) < sys.float_info.min for e in (eff_mm, eff_mm_sr)):
-        # R_T no longer grows with l once Xi >> 1, so a long crystal takes them there
-        warnings.append("the efficiencies per mm and per mm sr are not reported: one is below "
-                        "the smallest normal float, as R_T no longer grows with so long a crystal")
-        eff_mm = eff_mm_sr = None
     return RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
-                      spectral_samples=None, efficiency_per_mm=eff_mm,
-                      efficiency_per_mm_sr=eff_mm_sr, warnings=warnings)
+                      spectral_samples=None, warnings=warnings)
 
 
 def total_rate(config: SourceConfig) -> RateReport:
@@ -317,9 +311,6 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
     paths = config.decay_path_multiplicity
     observable = _product(config, "the observable paths ratio R_T", paths, ratio, report.R_T)
     eff_mm, eff_mm_sr = _efficiencies(config, paths * _thin_rate(config))
-    for what, eff in (("efficiency per mm", eff_mm), ("efficiency per mm sr", eff_mm_sr)):
-        if eff is not None:
-            _product(config, what, eff)  # refuses one below the smallest normal float
 
     ref = config.reference_values or {}
     ref_xi = ref.get("xi")

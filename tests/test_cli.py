@@ -1,10 +1,13 @@
 import ast
 import contextlib
+import functools
+import glob
 import importlib
 import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -253,6 +256,35 @@ def test_cli_rate_and_set_override(tmp_path):
     assert "rate_report.csv" in manifest["outputs"]
 
 
+# fields that only the comparison reads; at 1e-322 sr its per-sr efficiency overflows
+COMPARISON_ONLY_OVERRIDES = ("collection.solid_angle_sr=1e-322",
+                             f"collection.solid_angle_sr={4 * math.pi!r}",
+                             "collection.pair_to_singles_ratio=1", "collection.decay_paths=1",
+                             "reference={}")
+
+
+def test_cli_rate_reads_no_comparison_only_field(tmp_path, capsys):
+    out = tmp_path / "o"
+
+    def run(*overrides):
+        argv = ["rate", "--config", sg.builtin_config_path(), "--out", str(out), "--force"]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == "", (argv, captured.err)
+        return ((out / "rate_report.csv").read_bytes(), (out / "rate_spectrum.csv").read_bytes(),
+                captured.out)
+
+    shipped = run()
+    _, rows = read_csv(out / "rate_report.csv")
+    # the efficiencies live in the comparison alone, in its thin-crystal normalization
+    assert [r[0] for r in rows] == ["Xi", "S", "R_T_pairs_per_s", "R_T_thin_pairs_per_s",
+                                    "pump_power_W"]
+    for override in COMPARISON_ONLY_OVERRIDES:
+        assert run(override) == shipped, override
+
+
 def test_cli_compare_experiment(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["compare-experiment", "--config", sg.builtin_config_path(),
@@ -318,8 +350,7 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     # the spectral density prefactor beyond the float range
     ["rate", "--set", "pump.waist_um=1e-50", "--set", "signal.waist_um=1e-50",
      "--set", "idler.waist_um=1e-50"],
-    # the efficiency per sr beyond the float range, for R_T and for the thin-crystal rate
-    ["rate", "--set", "collection.solid_angle_sr=1e-322"],
+    # the thin-crystal efficiency per sr beyond the float range
     ["compare-experiment", "--set", "collection.solid_angle_sr=1e-320"],
     # a pump waist whose square underflows, at the small end of the waist-ratio sweep
     ["sweep-gamma", "--gamma-min", "1e-170", "--gamma-max", "1"],
@@ -346,7 +377,7 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     ["compare-experiment", "--set", "reference.r_t_per_mw_s=1e-300", "--set", "pump.waist_um=1e-3",
      "--set", "signal.waist_um=1e-3", "--set", "idler.waist_um=1e-3"],
 ], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow",
-        "efficiency-overflow", "thin-efficiency-overflow", "gamma-underflow",
+        "thin-efficiency-overflow", "gamma-underflow",
         "waist-underflow", "waist-overflow", "overlap-underflow", "efficiency-underflow",
         "rate-underflow-1e-280", "rate-underflow-1e-290", "rate-underflow-1e-297",
         "rate-underflow-1e-320", "total-rate-underflow", "length-underflow",
@@ -426,12 +457,65 @@ def test_cli_refused_spectrum_keeps_an_earlier_table(tmp_path, capsys, argv):
         assert fh.read() == table
 
 
-def run_child(*args, cwd=None):
-    """``python *args`` in a fresh interpreter that imports the package under test."""
+def run_child(*args, cwd=None, python=sys.executable, **env):
+    """``python *args`` in a fresh interpreter that imports the package under test,
+    with the variables ``env`` set too."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)),
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", **env)
+    return subprocess.run([python, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _other_interpreters():
+    """The interpreters ``~/.pyenv/versions/3.*/bin/python3`` of another version than
+    this one that ``requires-python`` in ``pyproject.toml`` admits."""
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fh:
+        least = int(re.search(r'requires-python = ">=3\.(\d+)"', fh.read()).group(1))
+    found = []
+    for python in sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/3.*/bin/python3"))):
+        version = python.split(os.sep)[-3]
+        minor = re.match(r"3\.(\d+)", version)
+        if minor and int(minor.group(1)) >= least and version != platform.python_version():
+            found.append(python)
+    return found
+
+
+# the numpy-free commands: figures, the comparison and a refused source
+NUMPY_FREE_RUNS = (["figures", "--out", "figures"],
+                   ["compare-experiment", "--config", sg.builtin_config_path(), "--out", "compare"],
+                   ["rate", "--config", sg.builtin_config_path(), "--set", "pump.waist_um=-50",
+                    "--out", "refused"])
+
+
+def _numpy_free_outputs(python, cwd):
+    """``{command: (exit code, stdout, stderr, {file: bytes})}`` of NUMPY_FREE_RUNS."""
+    cwd.mkdir()
+    outputs = {}
+    for argv in NUMPY_FREE_RUNS:
+        proc = run_child("-m", "spdcgauss.cli", *argv, cwd=cwd, python=python,
+                         PYTHONDONTWRITEBYTECODE="1")
+        out = cwd / argv[-1]
+        outputs[argv[0]] = (proc.returncode, proc.stdout, proc.stderr,
+                            {path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    return outputs
+
+
+def test_numpy_free_commands_match_across_interpreters(tmp_path):
+    others = _other_interpreters()
+    if not others:
+        pytest.skip("no other interpreter admitted by requires-python under ~/.pyenv/versions")
+    want = _numpy_free_outputs(sys.executable, tmp_path / "this")
+    assert [(code, err) for code, _, err, _ in want.values()] == [
+        (0, ""), (0, ""), (2, "error VALIDATION: pump.waist must be finite and > 0\n")]
+    for python in others:
+        got = _numpy_free_outputs(python, tmp_path / python.split(os.sep)[-3])
+        for command, (code, out, err, files) in want.items():
+            assert got[command][:3] == (code, out, err), (python, command)
+            assert sorted(got[command][3]) == sorted(files), (python, command)
+            for name, data in files.items():
+                assert got[command][3][name] == data, (python, command, name)
 
 
 # The import contract.  The model is closed-form, so no command loads numpy but
@@ -895,6 +979,8 @@ def test_cli_determinism_sweep(tmp_path):
 ERROR_LINE = re.compile(r"error (PARSE|UNKNOWN_MATERIAL|VALIDATION|NUMERICAL|IO): ")
 EXIT_CODES = {"PARSE": 2, "UNKNOWN_MATERIAL": 2, "VALIDATION": 2, "NUMERICAL": 3, "IO": 4}
 
+# hand-kept keys the random draws add to those the shipped config reads: whole
+# objects, and fields it may stop reading
 OVERRIDE_KEYS = (
     "pump.wavelength_nm", "pump.power_mw", "pump.waist_um", "signal.waist_um",
     "idler.waist_um", "signal.wavelength_nm", "idler.wavelength_nm",
@@ -940,6 +1026,24 @@ SWEEP_FLAGS = {"spectrum": ("--dphi-min", "--dphi-max"),
                "sweep-gamma": ("--gamma-min", "--gamma-max")}
 
 
+@functools.cache
+def _shipped_reads():
+    """The shipped config's JSON and the keys ``config_from_dict`` reads on it."""
+    with open(sg.builtin_config_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    read = set()
+    sg.config.config_from_dict(raw, sg.materials.load_material_db(), read)
+    return raw, frozenset(read)
+
+
+def _override_keys():
+    """Keys of the random draws: each key ``config_from_dict`` reads on the shipped
+    config, so a new field joins by itself, then each ``OVERRIDE_KEYS`` entry it does
+    not read."""
+    read = _shipped_reads()[1]
+    return tuple(sorted(read)) + tuple(key for key in OVERRIDE_KEYS if key not in read)
+
+
 @st.composite
 def adversarial_argv(draw, out):
     kind = draw(st.integers(0, 3))
@@ -952,7 +1056,7 @@ def adversarial_argv(draw, out):
     command = draw(st.sampled_from(["rate", "compare-experiment"]))
     argv = [command, "--config", sg.builtin_config_path(), "--out", out, "--force"]
     for _ in range(draw(st.integers(1, 3))):
-        key = draw(st.sampled_from(OVERRIDE_KEYS))
+        key = draw(st.sampled_from(_override_keys()))
         argv += ["--set", f"{key}={draw(OVERRIDE_VALUES)}"]
     return argv
 
@@ -984,10 +1088,7 @@ def _ladder_keys():
     """Override keys of the fixed ladder: each field ``config_from_dict`` reads on the
     shipped config whose value there is not a string or an object (the three waists as
     one tied key), then each ``OVERRIDE_KEYS`` entry it does not read."""
-    with open(sg.builtin_config_path(), encoding="utf-8") as fh:
-        raw = json.load(fh)
-    read = set()
-    sg.config.config_from_dict(raw, sg.materials.load_material_db(), read)
+    raw, read = _shipped_reads()
 
     def shipped(path):
         head, _, leaf = path.rpartition(".")

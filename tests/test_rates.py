@@ -18,6 +18,7 @@ from spdcgauss.errors import (
 from spdcgauss.rates import (
     SPECTRAL_POINTS,
     SPECTRAL_SPAN_DPHI,
+    RateReport,
     _delta_k_z,
     closed_form_report,
     comparison_rows,
@@ -170,11 +171,17 @@ def test_report_populates_thin_rate_when_collinear():
 
 
 def test_efficiency_definition():
+    # the efficiencies are the comparison's, in the thin-crystal normalization:
+    # paths x R_T_thin hbar omega_p / (P l_mm), and that per sr; the rate carries none
+    assert RateReport._fields == ("Xi", "S", "R_T", "R_T_thin", "spectral_samples", "warnings")
     cfg = make_config()
-    report = total_rate(cfg)
-    omega_p = cfg.pump.omega
-    expected = report.R_T * HBAR * omega_p / (cfg.pump_power_p * 2.0)  # 2 mm
-    assert report.efficiency_per_mm == pytest.approx(expected, rel=1e-12)
+    _, r_thin = thin_crystal_rates(make_config(theta_deg=0.0))
+    by_name = {r.quantity: r.model for r in comparison_rows(cfg, closed_form_report(cfg))}
+    expected = (cfg.decay_path_multiplicity * r_thin * HBAR * cfg.pump.omega
+                / (cfg.pump_power_p * 2.0))  # 2 mm
+    assert by_name["efficiency_per_mm"] == pytest.approx(expected, rel=1e-12)
+    assert by_name["efficiency_per_mm_sr"] == pytest.approx(
+        expected / cfg.collection_solid_angle_sr, rel=1e-12)
 
 
 def test_waist_scaling_examples():
@@ -344,8 +351,9 @@ def test_comparison_rows_warns_of_walk_off_once():
     assert sum("walk-off parameter" in w for w in report.warnings) == 1
 
 
-# pump powers (mW) and crystal lengths (mm) whose 4 d^2 P l, or rate hbar omega_p,
-# falls below the smallest normal float: R_T lost digits or read 0
+# pump powers (mW) and crystal lengths (mm) whose 4 d^2 P l falls below the smallest
+# normal float (R_T lost digits or read 0), or whose comparison efficiency's
+# rate hbar omega_p does
 UNDERFLOWING_SOURCES = [
     ({"power_mw": 1e-278}, "rate hbar omega_p"),
     ({"power_mw": 1e-280}, "4 d_eff"),
@@ -361,30 +369,23 @@ UNDERFLOWING_SOURCES = [
                               "l=1e-300"])
 def test_underflowing_rate_is_refused(source, product):
     cfg = make_config(theta_deg=0.0, **source)
+    if product == "rate hbar omega_p":
+        # R_T ~ 2.45e-275 pairs/s is normal: only the comparison's efficiency refuses
+        report = closed_form_report(cfg)
+        assert report.R_T >= sys.float_info.min and report.R_T == report.R_T_thin
+    else:
+        with pytest.raises(ComputationError, match=f"{product}.* underflows the float range"):
+            closed_form_report(cfg)
+        report = closed_form_report(make_config(theta_deg=0.0))
     with pytest.raises(ComputationError, match=f"{product}.* underflows the float range"):
-        closed_form_report(cfg)
-    with pytest.raises(ComputationError, match="underflows the float range"):
-        comparison_rows(cfg, closed_form_report(make_config(theta_deg=0.0)))
+        comparison_rows(cfg, report)
 
 
 def test_vanishing_d_eff_is_a_zero_rate_at_any_power():
     # the underflow guard holds only where d_eff != 0: d_eff = 0 is a true zero rate
-    report = closed_form_report(make_config(power_mw=1e-320, d22_scale=0.0))
-    assert report.R_T == report.efficiency_per_mm == 0.0
+    cfg = make_config(power_mw=1e-320, d22_scale=0.0)
+    report = closed_form_report(cfg)
+    by_name = {r.quantity: r.model for r in comparison_rows(cfg, report)}
+    assert report.R_T == by_name["efficiency_per_mm"] == 0.0
     assert any("d_eff" in w for w in report.warnings)
 
-
-def test_efficiencies_below_the_normal_floats_are_left_out_of_the_report():
-    # R_T saturates once Xi >> 1, so R_T hbar omega_p / (P l_mm) falls as 1/l: about
-    # 1.5e-312 at l = 1e297 m, a subnormal number that is left out, with a warning
-    report = closed_form_report(make_config(length_mm=1e300))
-    assert 0.0 < report.R_T < math.inf
-    assert report.efficiency_per_mm is None and report.efficiency_per_mm_sr is None
-    assert sum("smallest normal float" in w for w in report.warnings) == 1
-    # ~1e-307 per mm is normal, but its value per 4 pi sr is not: both are left out
-    cfg = make_config(length_mm=1.48e295)._replace(collection_solid_angle_sr=4 * math.pi)
-    report = closed_form_report(cfg)
-    assert report.efficiency_per_mm is None and report.efficiency_per_mm_sr is None
-    report = closed_form_report(make_config(length_mm=1e280))
-    assert report.efficiency_per_mm >= sys.float_info.min
-    assert not any("smallest normal float" in w for w in report.warnings)
