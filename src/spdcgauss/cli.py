@@ -19,12 +19,14 @@ of it is compiled; ``rate`` and ``compare-experiment`` import
 tuples, so no command loads ``dataclasses``.  ``IMPORT_CONTRACT`` in
 ``tests/test_cli.py`` states which modules each command loads.  Tables are
 streamed to their CSV files, a chunk of rows at a time, each by one function
-that ``figures`` shares with the command of that table.
+that ``figures`` calls on its figure grid and the one runner of the table
+commands, :func:`cmd_table`, on the command's grid flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -44,7 +46,7 @@ FIG_GAMMA_RANGE = (0.1, 3.0, 581)
 MAX_POINTS = 10 ** 6
 # rows formatted per write of a CSV table
 _CSV_CHUNK = 4096
-# |delta_phi| values an overlap curve memoises, above the figure grid's 1541 distinct
+# the LRU bound on an overlap curve's cached |delta_phi|, above the figure grid's 1541 distinct
 _MEMO_SIZE = 4096
 
 
@@ -110,7 +112,8 @@ def _xi_list(text):
 
 def _overlap_rows(xis, lo, hi, points):
     """An iterator of the ``(xi, delta_phi, Phi_z/l)`` rows, every Xi and the grid checked
-    first, so a refused input opens no file; a curve reads |delta_phi| only, memoised."""
+    first, so a refused input opens no file; a curve reads |delta_phi| only, through an
+    LRU cache of the last ``_MEMO_SIZE`` values."""
     from . import curves
     grid = curves.uniform_grid(lo, hi, points)
     curve_list = []
@@ -121,18 +124,14 @@ def _overlap_rows(xis, lo, hi, points):
 
     def rows():
         for xi, curve in zip(xis, curve_list):
-            memo = {}
+            curve = functools.lru_cache(_MEMO_SIZE)(curve)
             for d in grid:
-                value = memo.get(a := abs(d))
-                if value is None:
-                    if len(memo) == _MEMO_SIZE:
-                        memo.clear()
-                    value = memo[a] = curve(a)
-                yield xi, d, value
+                yield xi, d, curve(abs(d))
     return rows()
 
 
-def _overlap_table(args, name, lo, hi, points, xis=FIG_OVERLAP_XIS):
+def _overlap_table(args, name, lo, hi, points):
+    xis = FIG_OVERLAP_XIS if getattr(args, "xi", None) is None else _xi_list(args.xi)
     if len(xis) * points > MAX_POINTS:  # refused before any row is built
         raise ValidationError(f"--xi values x --points must not exceed {MAX_POINTS} rows")
     return (_write_csv(args.out, name, ["xi", "delta_phi", "phi_z_over_l"],
@@ -185,19 +184,10 @@ def cmd_rate(args, cfg):
     return outputs, {}
 
 
-def cmd_spectrum(args):
-    xis = _xi_list(args.xi) if args.xi is not None else FIG_OVERLAP_XIS
-    name, params = _overlap_table(args, "spectrum_overlap.csv", *_grid(args, "dphi"), xis)
-    return [name], params
-
-
-def cmd_sweep_xi(args):
-    name, params = _xi_table(args, "sweep_xi.csv", *_grid(args, "xi"))
-    return [name], params
-
-
-def cmd_sweep_gamma(args):
-    name, params = _gamma_table(args, "sweep_gamma.csv", *_grid(args, "gamma"))
+def cmd_table(args):
+    """The table commands: ``args.table`` writes ``args.file`` over the grid of
+    ``--FLAG-min``, ``--FLAG-max`` and ``--points``, FLAG being ``args.flag``."""
+    name, params = args.table(args, args.file, *_grid(args, args.flag))
     return [name], params
 
 
@@ -260,21 +250,22 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override a config field (dotted path)")
             p.add_argument("--material-db", help="alternative material database JSON")
-        if grid:  # (flag, (min, max, points)): the grid flags _grid reads
-            flag, (lo, hi, points) = grid
+        if grid:  # (table, file, flag, (min, max, points)): what cmd_table runs
+            table, file, flag, (lo, hi, points) = grid
+            p.set_defaults(table=table, file=file, flag=flag)
             p.add_argument(f"--{flag}-min", type=float, default=lo)
             p.add_argument(f"--{flag}-max", type=float, default=hi)
             p.add_argument("--points", type=int, default=points)
         return p
 
     command("rate", cmd_rate, "total rate report for a config", source=True)
-    p = command("spectrum", cmd_spectrum, "longitudinal overlap curves",
-                grid=("dphi", FIG_OVERLAP_RANGE))
+    p = command("spectrum", cmd_table, "longitudinal overlap curves",
+                grid=(_overlap_table, "spectrum_overlap.csv", "dphi", FIG_OVERLAP_RANGE))
     p.add_argument("--xi", help="comma-separated walk-off values (default 0,0.5,1,2,4)")
-    command("sweep-xi", cmd_sweep_xi, "spectral integral S versus walk-off",
-            grid=("xi", FIG_XI_RANGE))
-    command("sweep-gamma", cmd_sweep_gamma, "relative rate versus waist ratio",
-            grid=("gamma", FIG_GAMMA_RANGE))
+    command("sweep-xi", cmd_table, "spectral integral S versus walk-off",
+            grid=(_xi_table, "sweep_xi.csv", "xi", FIG_XI_RANGE))
+    command("sweep-gamma", cmd_table, "relative rate versus waist ratio",
+            grid=(_gamma_table, "sweep_gamma.csv", "gamma", FIG_GAMMA_RANGE))
     command("figures", cmd_figures, "regenerate all figure datasets")
     command("compare-experiment", cmd_compare_experiment,
             "model vs reference values for a config", source=True)

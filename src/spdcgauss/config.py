@@ -115,6 +115,11 @@ class SourceConfig(namedtuple("SourceConfig", (
         if len(args) < len(cls._fields):  # a dict of its own for each config
             kwargs.setdefault("reference_values", {})
         self = super().__new__(cls, *args, **kwargs)
+        paths = self.decay_path_multiplicity
+        if isinstance(paths, bool) or not isinstance(paths, int):
+            raise ValidationError(f"collection.decay_paths must be an int, not {paths!r}")
+        if paths < 1:
+            raise ValidationError("collection.decay_paths must be >= 1")
         if not 0 < self.pump_power_p < math.inf:
             raise ValidationError("pump_power must be finite and > 0")
         if self.collection_solid_angle_sr is not None \
@@ -257,8 +262,6 @@ def config_from_dict(raw: dict, material_db: dict, read: set | None = None) -> S
     idler = GaussianMode(waist_i, lam_i, th_i, n_i, Role.IDLER)
 
     decay_paths = get("collection.decay_paths", int, required=False, default=2)
-    if decay_paths < 1:
-        raise ValidationError("collection.decay_paths must be >= 1")
 
     reference = {key: get(f"reference.{key}", float)
                  for key in get("reference", dict, required=False, default={})}

@@ -187,11 +187,6 @@ def _efficiencies(config: SourceConfig, rate: float):
     return eff_mm, eff_mm_sr
 
 
-def _dispersion(config: SourceConfig) -> float:
-    return dispersion_factor(config.signal.n, config.idler.n,
-                             config.signal.theta, config.idler.theta)
-
-
 def closed_form_report(config: SourceConfig) -> RateReport:
     """The closed forms of :func:`total_rate`, without loading numpy: a
     :class:`RateReport` whose ``spectral_samples`` is None.  The total
@@ -207,6 +202,12 @@ def closed_form_report(config: SourceConfig) -> RateReport:
     frequency lies more than DEGENERACY_OFFSET_MAX x omega_p/2 from omega_p/2.  It
     refuses the sources whose spectrum :func:`total_rate` cannot sample.
     """
+    return _closed_form(config)[0]
+
+
+def _closed_form(config: SourceConfig):
+    """``(report, geom, (lo, hi))``: :func:`closed_form_report`, with the geometry
+    and the sampled signal-frequency range it computed on the way."""
     warnings: list[str] = []
     _require_equal_waists(config)
     ths, thi = config.signal.theta, config.idler.theta
@@ -230,9 +231,9 @@ def closed_form_report(config: SourceConfig) -> RateReport:
     geom = geometry_coefficients(config.pump, config.signal, config.idler,
                                  config.crystal.length_l)
     S = spectral_integral_S(geom.Xi)
-    disp = _dispersion(config)
+    disp = dispersion_factor(config.signal.n, config.idler.n, ths, thi)
     # refuses what total_rate's spectrum cannot sample, a crystal too short for it first
-    center = _sample_range(config, disp)[2]
+    lo, hi, center = _sample_range(config, disp)
     if disp < 0:
         warnings.append(
             "(n_i cos th_i - n_s cos th_s) is negative; the rate uses its "
@@ -250,8 +251,8 @@ def closed_form_report(config: SourceConfig) -> RateReport:
             f"{2e9 * config.pump.lambda_vac:.1f} nm; the closed form assumes near-degenerate "
             "operation"
         )
-    return RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
-                      spectral_samples=None, warnings=warnings)
+    return (RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
+                       spectral_samples=None, warnings=warnings), geom, (lo, hi))
 
 
 def total_rate(config: SourceConfig) -> RateReport:
@@ -269,10 +270,8 @@ def total_rate(config: SourceConfig) -> RateReport:
     crystal is so long that sampled frequencies repeat.
     """
     import numpy as np
-    report = closed_form_report(config)
-    lo, hi, _ = _sample_range(config, _dispersion(config))
+    report, geom, (lo, hi) = _closed_form(config)
     l = config.crystal.length_l
-    geom = geometry_coefficients(config.pump, config.signal, config.idler, l)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         grid = np.linspace(lo, hi, SPECTRAL_POINTS)
         dkz = _delta_k_z(config, grid)

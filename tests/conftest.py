@@ -2,6 +2,7 @@ import math
 import warnings
 
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
 import spdcgauss as sg
@@ -103,6 +104,16 @@ def phi_z_qawo(xi, delta_phi):
         warnings.simplefilter("error")
         return quad(lambda u: math.exp(-xi * xi * u * u), 0.0, 1.0, weight="cos",
                     wvar=delta_phi, epsabs=1e-13, epsrel=0.0)[0]
+
+
+def S_parseval(xi: float) -> float:
+    """Closed form of the Plancherel identity for the spectral integral, the
+    library's formula evaluated with scipy's erf in place of ``math.erf``;
+    ``spectral_integral_S_direct`` is the oracle independent of Plancherel."""
+    if xi == 0.0:
+        return math.pi
+    a = math.sqrt(2.0) * xi
+    return math.pi * math.sqrt(math.pi) / (2.0 * a) * float(scipy.special.erf(a))
 
 
 def spectral_integral_S_direct(xi):

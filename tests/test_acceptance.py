@@ -16,7 +16,7 @@ import scipy.special
 
 import spdcgauss as sg
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
-from conftest import make_config, thin_crystal_rates
+from conftest import S_parseval, make_config, thin_crystal_rates
 from spdcgauss.config import GaussianMode, Role
 from spdcgauss.curves import optimal_gamma, phi_z, spectral_integral_S
 from spdcgauss.curves import phi_z_thin as sinc
@@ -26,13 +26,6 @@ from spdcgauss.rates import experiment_comparison, total_rate
 
 def report(n, text):
     print(f"ACCEPTANCE {n}: PASS - {text}")
-
-
-def parseval_S(xi: float) -> float:
-    if xi == 0.0:
-        return math.pi
-    a = math.sqrt(2.0) * xi
-    return math.pi * math.sqrt(math.pi) / (2.0 * a) * float(scipy.special.erf(a))
 
 
 def test_criterion_1_thin_crystal_spectral_anchor():
@@ -64,7 +57,7 @@ def test_criterion_3_parseval_oracle_and_monotonicity():
     t0 = time.perf_counter()
     xis = np.linspace(0.0, 5.0, 26)
     values = [spectral_integral_S(float(x)) for x in xis]
-    worst = max(abs(v - parseval_S(float(x))) for x, v in zip(xis, values))
+    worst = max(abs(v - S_parseval(float(x))) for x, v in zip(xis, values))
     assert worst < 1e-6
     assert all(a > b for a, b in zip(values, values[1:]))
     elapsed = time.perf_counter() - t0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
-from conftest import phi_z_qawo, spectral_integral_S_direct
+from conftest import S_parseval, phi_z_qawo, spectral_integral_S_direct
 from spdcgauss.config import GaussianMode, Role
 from spdcgauss.curves import (
     DELTA_PHI_MAX,
@@ -27,16 +27,6 @@ from spdcgauss.modes import (
     overlap_phi,
     phi_z_grid,
 )
-
-
-def S_parseval(xi: float) -> float:
-    """Closed form of the Plancherel identity for the spectral integral, the
-    library's formula evaluated with scipy's erf in place of ``math.erf``;
-    ``spectral_integral_S_direct`` is the oracle independent of Plancherel."""
-    if xi == 0.0:
-        return math.pi
-    a = math.sqrt(2.0) * xi
-    return math.pi * math.sqrt(math.pi) / (2.0 * a) * float(scipy.special.erf(a))
 
 
 def mode(role, waist=82e-6, lam=702.2e-9, theta=0.0, n=1.65):

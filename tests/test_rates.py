@@ -96,6 +96,12 @@ def test_source_config_rejects_bad_power(power):
         make_config()._replace(pump_power_p=power)
 
 
+@pytest.mark.parametrize("paths", [-1, 0, 2.5, True])
+def test_source_config_rejects_bad_decay_paths(paths):
+    with pytest.raises(ValidationError, match="collection.decay_paths"):
+        make_config()._replace(decay_path_multiplicity=paths)
+
+
 def test_spectral_samples_integrate_to_total():
     report = total_rate(make_config())
     assert isinstance(report.spectral_samples, np.ndarray)
