@@ -5,14 +5,13 @@ longitudinal overlap
 
     Phi_z / l = int_0^1 exp(-Xi^2 u^2) cos(delta_phi u) du
 
-at a float delta_phi (phi_z, phi_z_curve, through the Faddeeva function
-with a power series in Xi^2 where Xi is small), its thin- and thick-crystal
-limits, the spectral integral S(Xi) = int |Phi_z/l|^2 d(delta_phi) by
-Plancherel's identity, and the thin-crystal waist-ratio curve with its
-optimum 1/sqrt(2).  Xi = sqrt(H) l/2 is the walk-off parameter and
-delta_phi = K l/2 the longitudinal phase mismatch of
-:mod:`spdcgauss.modes`, which holds the geometry and the ndarray overlap
-kernel.
+at a float delta_phi (phi_z_curve, through the Faddeeva function with a
+power series in Xi^2 where Xi is small), the spectral integral
+S(Xi) = int |Phi_z/l|^2 d(delta_phi) by Plancherel's identity, and the
+thin-crystal waist-ratio curve with its optimum 1/sqrt(2).  Xi = sqrt(H) l/2
+is the walk-off parameter and delta_phi = K l/2 the longitudinal phase
+mismatch of :mod:`spdcgauss.modes`, which holds the geometry and the ndarray
+overlap kernel.
 
 This module imports only ``math`` and :mod:`spdcgauss.errors`, so the CLI
 commands that need no source (``figures``, ``spectrum``, ``sweep-xi`` and
@@ -26,10 +25,7 @@ import math
 from .errors import ValidationError
 
 __all__ = [
-    "phi_z",
     "phi_z_curve",
-    "phi_z_thin",
-    "phi_z_thick",
     "spectral_integral_S",
     "waist_scaling",
     "optimal_gamma",
@@ -37,8 +33,9 @@ __all__ = [
     "gamma_sweep",
 ]
 
-# largest |delta_phi| phi_z accepts: modes.phi_z_grid's rule takes about |delta_phi|
-# nodes, so one overlap value costs at most ~1e5 cosines, one cos-block row of 0.8 MB
+# largest |delta_phi| phi_z_curve and modes.phi_z_grid accept: phi_z_grid's rule takes
+# about |delta_phi| nodes, so one overlap value costs at most ~1e5 cosines, one cos-block
+# row of 0.8 MB
 DELTA_PHI_MAX = 1e5
 # below this Xi the closed form of phi_z_curve, which loses ~1e-16/Xi to cancellation,
 # gives way to its power series in Xi^2, whose first omitted term is below Xi^6/42
@@ -71,19 +68,6 @@ def _checked_delta_phi(delta_phi) -> float:
     return d
 
 
-def phi_z(xi: float, delta_phi: float) -> float:
-    """Dimensionless longitudinal overlap
-
-        Phi_z / l = int_0^1 exp(-Xi^2 u^2) cos(delta_phi u) du
-
-    at a float ``delta_phi`` with ``|delta_phi| <= DELTA_PHI_MAX``: the
-    closed form of :func:`phi_z_curve`, in float math.  Equals
-    sinc(delta_phi) at Xi = 0 and (sqrt(pi)/(2 Xi)) erf(Xi) at delta_phi = 0.
-    :func:`spdcgauss.modes.phi_z_grid` evaluates an array of ``delta_phi``.
-    """
-    return phi_z_curve(xi)(delta_phi)
-
-
 def _faddeeva_line(y: float):
     """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) along the line
     Im z = y >= 0, as a function of a float x = Re z: Weideman's N = 40
@@ -107,8 +91,15 @@ def _faddeeva_line(y: float):
 
 
 def phi_z_curve(xi: float):
-    """:func:`phi_z` at fixed Xi as a function of a float ``delta_phi``,
-    in float math; the constants of Xi are computed once per curve.
+    """Dimensionless longitudinal overlap
+
+        Phi_z / l = int_0^1 exp(-Xi^2 u^2) cos(delta_phi u) du
+
+    at fixed Xi as a function of a float ``delta_phi`` with
+    ``|delta_phi| <= DELTA_PHI_MAX``, in float math; the constants of Xi are
+    computed once per curve.  Equals sinc(delta_phi) at Xi = 0 and
+    (sqrt(pi)/(2 Xi)) erf(Xi) at delta_phi = 0.
+    :func:`spdcgauss.modes.phi_z_grid` evaluates an array of ``delta_phi``.
 
     Completing the square in the exponent gives, with x = delta_phi/(2 Xi),
 
@@ -152,30 +143,6 @@ def phi_z_curve(xi: float):
         return scale * (math.exp(-x * x)
                         - damping * (math.cos(d) * wx.real - math.sin(d) * wx.imag))
     return curve
-
-
-def phi_z_thin(delta_phi: float) -> float:
-    """Thin-crystal (collinear) limit: Phi_z / l = sinc(delta_phi)
-    = sin(delta_phi)/delta_phi, with sinc(0) = 1, at a float ``delta_phi``.
-    (Unlike numpy.sinc there is no factor of pi in the argument.)
-    """
-    if abs(delta_phi) < 1e-4:
-        return 1.0 - delta_phi * delta_phi / 6.0
-    return math.sin(delta_phi) / delta_phi
-
-
-def phi_z_thick(xi: float) -> float:
-    """Walk-off-dominated value at zero phase mismatch,
-
-        Phi_z / l = (sqrt(pi) / (2 Xi)) erf(Xi).
-
-    This is the exact delta_phi = 0 value for any Xi > 0; it is the
-    full story only in the large-Xi regime where the crystal length
-    ceases to matter.
-    """
-    if not xi > 0:
-        raise ValidationError("Xi must be > 0 (use phi_z for the Xi=0 limit)")
-    return math.sqrt(math.pi) / (2.0 * xi) * math.erf(xi)
 
 
 def spectral_integral_S(xi: float) -> float:

@@ -54,11 +54,8 @@ class SellmeierSet(namedtuple("SellmeierSet", "coefficients valid_range_m")):
         lo, hi = self.valid_range_m
         if not 0 < lo < hi:
             raise ValidationError("valid_range must satisfy 0 < min < max")
-        # n^2 > 1 across the window, sampled
-        for i in range(33):
-            lam = lo + (hi - lo) * i / 32
-            if not self.n_sq(lam) > 1.0:
-                raise ValidationError(f"n^2(lambda) <= 1 at {lam * 1e9:.1f} nm")
+        for i in range(33):  # n^2 > 1 across the window, sampled
+            self.n_sq(lo + (hi - lo) * i / 32)
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks its result
@@ -73,7 +70,10 @@ class SellmeierSet(namedtuple("SellmeierSet", "coefficients valid_range_m")):
         c0, c1, c2, c3 = self.coefficients
         lam_um = lambda_vac_m * 1e6
         lam2 = lam_um * lam_um
-        return c0 + c1 / (lam2 - c2) - c3 * lam2
+        n_sq = c0 + c1 / (lam2 - c2) - c3 * lam2
+        if not n_sq > 1.0:
+            raise ValidationError(f"n^2(lambda) <= 1 at {lambda_vac_m * 1e9:.1f} nm")
+        return n_sq
 
     def index(self, lambda_vac_m: float) -> float:
         return math.sqrt(self.n_sq(lambda_vac_m))

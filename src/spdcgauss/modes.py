@@ -15,7 +15,7 @@ dphi = K l/2 the accumulated longitudinal phase mismatch.  Collinear
 geometry (Xi = 0) reproduces the familiar sinc; large Xi is the
 overlap-limited regime where the crystal length drops out.
 
-At a float dphi, Phi_z is a closed form of :mod:`spdcgauss.curves`,
+At a float dphi, Phi_z is phi_z_curve of :mod:`spdcgauss.curves`,
 which holds the model's dimensionless curves in float math.  The array
 functions are overlap_phi, over an ndarray of dk_z, and phi_z_grid, which
 it calls over dphi: an entire function integrated over [0, 1] on a composite
@@ -138,13 +138,14 @@ def geometry_coefficients(
 
 
 def phi_z_grid(xi: float, delta_phi):
-    """:func:`~spdcgauss.curves.phi_z` over an array of ``delta_phi``, as a 1-D ndarray: a
-    32-point Gauss-Legendre rule tiled over equal panels.  For Xi > 8 the
-    range is cut at u = U = 8/Xi, where the weight has fallen below 1e-27
-    (otherwise U = 1); the ``1 + ceil(max(|delta_phi|, 2 Xi) U / 32)``
-    panels on [0, U], with the array's largest |delta_phi|, keep each panel
-    within 32 radians of phase and of Gaussian decay, where the rule's error
-    falls off faster than exponentially.
+    """:func:`~spdcgauss.curves.phi_z_curve` over an array of ``delta_phi``,
+    as a 1-D ndarray: a 32-point Gauss-Legendre rule tiled over equal
+    panels.  For Xi > 8 the range is cut at u = U = 8/Xi, where the weight
+    has fallen below 1e-27 (otherwise U = 1); the
+    ``1 + ceil(max(|delta_phi|, 2 Xi) U / 32)`` panels on [0, U], with the
+    array's largest |delta_phi|, keep each panel within 32 radians of phase
+    and of Gaussian decay, where the rule's error falls off faster than
+    exponentially.
     """
     import numpy as np
     if not 0 <= xi < math.inf:

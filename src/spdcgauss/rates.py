@@ -101,8 +101,8 @@ def _sample_range(config: SourceConfig, disp: float):
     lives there), clipped to [1e-6, 1 - 1e-6] omega_p; ``disp`` is the
     dispersion factor, so d(delta_phi)/d(omega_s) = -disp l/2.  Refuses a
     crystal so short that this slope underflows, a range beyond the float
-    range, and a range outside (0, omega_p): a source phase-matched far from
-    degeneracy.
+    range, and a range that clipping leaves empty: a source phase-matched far
+    from degeneracy.
     """
     omega_p = config.pump.omega
     l = config.crystal.length_l
@@ -115,7 +115,7 @@ def _sample_range(config: SourceConfig, disp: float):
     hi = min(center + half, (1 - 1e-6) * omega_p)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise OverflowError(f"the sampled signal frequencies [{lo}, {hi}] leave the float range")
-    if lo >= omega_p or hi <= 0.0:  # the grid runs from lo to hi
+    if lo > hi:  # the grid runs from lo to hi
         raise ValidationError("omega_s must lie strictly inside (0, omega_p)")
     return lo, hi, center
 

@@ -18,8 +18,7 @@ import spdcgauss as sg
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
 from conftest import S_parseval, make_config, thin_crystal_rates
 from spdcgauss.config import GaussianMode, Role
-from spdcgauss.curves import optimal_gamma, phi_z, spectral_integral_S
-from spdcgauss.curves import phi_z_thin as sinc
+from spdcgauss.curves import optimal_gamma, phi_z_curve, spectral_integral_S
 from spdcgauss.modes import geometry_coefficients, overlap_phi, phi_z_grid
 from spdcgauss.rates import experiment_comparison, total_rate
 
@@ -33,12 +32,12 @@ def test_criterion_1_thin_crystal_spectral_anchor():
     s0 = spectral_integral_S(0.0)
     assert s0 == pytest.approx(math.pi, abs=1e-6)
     grid = np.linspace(-20.0, 20.0, 1000)
-    worst = float(np.max(np.abs(phi_z_grid(0.0, grid) - [sinc(d) for d in grid.tolist()])))
+    worst = float(np.max(np.abs(phi_z_grid(0.0, grid) - np.sinc(grid / np.pi))))
     assert worst < 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report(1, f"S(0) = {s0:.9f} (|dev| {abs(s0 - math.pi):.2e} <= 1e-6); "
-              f"phi_z(0,.) vs sinc worst {worst:.2e} <= 1e-9 over 1000 points; "
+              f"phi_z_grid(0,.) vs sinc worst {worst:.2e} <= 1e-9 over 1000 points; "
               f"{elapsed:.2f} s < 1 s")
 
 
@@ -47,9 +46,9 @@ def test_criterion_2_exact_erf_identity():
     for xi in np.linspace(0.1, 10.0, 100):
         xi = float(xi)
         exact = math.sqrt(math.pi) / (2.0 * xi) * float(scipy.special.erf(xi))
-        worst = max(worst, abs(phi_z(xi, 0.0) - exact))
+        worst = max(worst, abs(phi_z_curve(xi)(0.0) - exact))
     assert worst < 1e-10
-    report(2, f"phi_z(Xi,0) vs (sqrt(pi)/2Xi) erf(Xi): worst |dev| {worst:.2e} "
+    report(2, f"phi_z_curve(Xi)(0) vs (sqrt(pi)/2Xi) erf(Xi): worst |dev| {worst:.2e} "
               "<= 1e-10 over 100 Xi in (0, 10]")
 
 

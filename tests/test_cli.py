@@ -630,12 +630,15 @@ def test_cli_points_above_the_bound_refused(tmp_path, capsys, command):
 
 
 def test_cli_compare_refuses_a_source_far_from_phase_matching(tmp_path, capsys):
-    # rate refuses to sample this spectrum; the closed-form comparison refuses it too
-    for command in ("rate", "compare-experiment"):
-        assert main([command, "--config", sg.builtin_config_path(), "--out", str(tmp_path),
-                     "--set", "crystal.theta_c_deg=30"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error VALIDATION: omega_s must lie strictly inside (0, omega_p)"]
+    # rate refuses to sample this spectrum; the closed-form comparison refuses it too.
+    # At 31.841985 deg the sampled window, clipped to (0, omega_p), came out reversed:
+    # both commands exited 0 with a spectrum that ran downward over ~4e-4 in delta_phi
+    for theta_deg in ("30", "31.841985"):
+        for command in ("rate", "compare-experiment"):
+            assert main([command, "--config", sg.builtin_config_path(), "--out", str(tmp_path),
+                         "--set", f"crystal.theta_c_deg={theta_deg}"]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error VALIDATION: omega_s must lie strictly inside (0, omega_p)"]
 
 
 # every name the package exported before its exports became lazy, less EnergyMismatch
@@ -912,6 +915,20 @@ def test_cli_material_db_infinite_range_bound_is_validation(tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--material-db", str(db)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error VALIDATION:"), err
+
+
+def test_cli_material_db_pole_inside_the_window_is_validation(tmp_path, capsys):
+    # c2 = 0.4931 um^2 puts the ordinary pole at 702.21 nm, between the sampled
+    # wavelengths; its negative n^2 there ended in a math domain error (exit 1)
+    bbo = _shipped_bbo()
+    bbo["ordinary"]["coefficients"][2] = 0.4931
+    db = tmp_path / "materials.json"
+    db.write_text(json.dumps({"materials": [bbo]}))
+    for command in ("rate", "compare-experiment"):
+        assert main([command, "--config", sg.builtin_config_path(),
+                     "--out", str(tmp_path / command), "--material-db", str(db)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error VALIDATION: n^2(lambda) <= 1 at 702.2 nm"]
 
 
 # JSON the decoder refuses: a 2 KB array nested past the recursion limit, and an

@@ -3,21 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
 from conftest import S_parseval, phi_z_qawo, spectral_integral_S_direct
 from spdcgauss.config import GaussianMode, Role
 from spdcgauss.curves import (
     DELTA_PHI_MAX,
-    phi_z,
-    phi_z_thick,
-    phi_z_thin,
+    phi_z_curve,
     spectral_integral_S,
     uniform_grid,
 )
-from spdcgauss.curves import phi_z_thin as sinc
 from spdcgauss.errors import ValidationError
 from spdcgauss.modes import (
     OverlapGeometry,
@@ -35,20 +30,20 @@ def mode(role, waist=82e-6, lam=702.2e-9, theta=0.0, n=1.65):
     return GaussianMode(waist, lam, theta, n, role)
 
 
-def erf_via_phi_z_thick(x: float) -> float:
-    """erf(x) for x > 0 recovered from the library's phi_z_thick."""
-    return phi_z_thick(x) * 2.0 * x / math.sqrt(math.pi)
-
-
 def erf_via_S(x: float) -> float:
     """erf(x) for x > 0 recovered from the library's S(x / sqrt2)."""
     return spectral_integral_S(x / math.sqrt(2.0)) * 2.0 * x / math.pi ** 1.5
 
 
+def thick_limit(xi: float) -> float:
+    """Phi_z/l at delta_phi = 0, (sqrt(pi)/(2 Xi)) erf(Xi), from math.erf."""
+    return math.sqrt(math.pi) / (2.0 * xi) * math.erf(xi)
+
+
 def phi_z_both_paths(xi: float, dphi: float) -> tuple[float, float]:
-    """phi_z at a float delta_phi (the closed form) and phi_z_grid at a
+    """phi_z_curve at a float delta_phi (the closed form) and phi_z_grid at a
     one-element ndarray (the Gauss-Legendre kernel)."""
-    return phi_z(xi, dphi), float(phi_z_grid(xi, np.array([dphi]))[0])
+    return phi_z_curve(xi)(dphi), float(phi_z_grid(xi, np.array([dphi]))[0])
 
 
 def geometry(waists=(82e-6, 82e-6, 82e-6), thetas=(0.0, 0.0), l=2e-3):
@@ -146,13 +141,13 @@ def test_phi_z_anchor_points():
 def test_phi_z_reduces_to_sinc():
     for d in np.linspace(-20.0, 20.0, 1000).tolist():
         for got in phi_z_both_paths(0.0, d):
-            assert abs(got - sinc(d)) < 1e-13
+            assert abs(got - np.sinc(d / np.pi)) < 1e-13
 
 
 def test_phi_z_erf_identity():
     for xi in np.linspace(0.1, 10.0, 100).tolist() + [50.0, 1000.0]:
         for got in phi_z_both_paths(xi, 0.0):
-            assert got == pytest.approx(phi_z_thick(xi), abs=1e-13)
+            assert got == pytest.approx(thick_limit(xi), abs=1e-13)
 
 
 def test_phi_z_even_and_bounded():
@@ -163,76 +158,34 @@ def test_phi_z_even_and_bounded():
                 assert -0.5 <= plus <= 1.0
 
 
-def test_phi_z_thin():
-    assert phi_z_thin(0.0) == 1.0
-    assert phi_z_thin(math.pi) == pytest.approx(0.0, abs=1e-15)
+def test_phi_z_curve_thin_and_thick_limits():
+    thin = phi_z_curve(0.0)
+    assert thin(0.0) == 1.0
+    assert thin(math.pi) == pytest.approx(0.0, abs=1e-15)
     # half-power point of the sinc^2 spectrum
-    assert phi_z_thin(1.39155737825151) == pytest.approx(0.7071067811865476,
-                                                         rel=1e-10)
-
-
-def test_phi_z_thick():
-    assert phi_z_thick(1.0) == pytest.approx(0.7468241328124269, rel=1e-13)
-    assert phi_z_thick(50.0) == pytest.approx(math.sqrt(math.pi) / 100.0, rel=1e-13)
-    assert phi_z_thick(1e-8) == pytest.approx(1.0, rel=1e-13)
+    assert thin(1.39155737825151) == pytest.approx(0.7071067811865476, rel=1e-10)
+    assert phi_z_curve(1.0)(0.0) == pytest.approx(0.7468241328124269, rel=1e-13)
+    assert phi_z_curve(50.0)(0.0) == pytest.approx(math.sqrt(math.pi) / 100.0, rel=1e-13)
+    assert phi_z_curve(1e-8)(0.0) == pytest.approx(1.0, rel=1e-13)
     for xi in (3.0, 5.0, 8.0):
         for got in phi_z_both_paths(xi, 0.0):
-            assert phi_z_thick(xi) == pytest.approx(got, rel=1e-13)
-    with pytest.raises(ValidationError):
-        phi_z_thick(0.0)
+            assert thick_limit(xi) == pytest.approx(got, rel=1e-13)
 
 
 def test_erf_reference_values():
-    for erf in (erf_via_phi_z_thick, erf_via_S):
-        assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-12)
-        assert erf(2.0) == pytest.approx(0.9953222650189527, abs=1e-12)
+    assert erf_via_S(1.0) == pytest.approx(0.8427007929497149, abs=1e-12)
+    assert erf_via_S(2.0) == pytest.approx(0.9953222650189527, abs=1e-12)
 
 
 def test_erf_against_scipy_grid():
     xs = np.linspace(0.0025, 8.0, 3200)
-    ref = scipy.special.erf(xs)
-    for erf in (erf_via_phi_z_thick, erf_via_S):
-        ours = np.array([erf(float(x)) for x in xs])
-        assert np.max(np.abs(ours - ref)) < 1e-12
-
-
-def test_erf_oddness_random():
-    # the library only evaluates erf at positive arguments; its values
-    # there must be those of the odd function scipy continues to x < 0
-    rng = np.random.default_rng(20240817)
-    xs = rng.uniform(0.01, 10.0, size=1000)
-    for x in xs:
-        x = float(x)
-        assert erf_via_phi_z_thick(x) == pytest.approx(
-            -float(scipy.special.erf(-x)), rel=1e-14)
+    ours = np.array([erf_via_S(float(x)) for x in xs])
+    assert np.max(np.abs(ours - scipy.special.erf(xs))) < 1e-12
 
 
 def test_erf_range():
     for x in np.linspace(0.05, 30, 600):
-        x = float(x)
-        assert 0.0 < phi_z_thick(x) <= min(1.0, math.sqrt(math.pi) / (2.0 * x))
-        assert 0.0 < spectral_integral_S(x) <= math.pi
-
-
-def test_sinc_values():
-    assert sinc(0.0) == 1.0
-    assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
-    assert sinc(math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-1e6, 1e6, allow_nan=False))
-def test_sinc_even_and_bounded(x):
-    assert sinc(-x) == sinc(x)
-    assert abs(sinc(x)) <= 1.0
-
-
-def test_sinc_array():
-    # the elements of an ndarray, numpy floats, one by one against numpy's sinc(x/pi)
-    xs = np.array([0.0, 1e-5, math.pi, 2.5, -40.0])
-    vals = [sinc(x) for x in xs]
-    assert vals[0] == 1.0
-    np.testing.assert_allclose(vals, np.sinc(xs / np.pi), rtol=0, atol=1e-15)
+        assert 0.0 < spectral_integral_S(float(x)) <= math.pi
 
 
 def test_overlap_phi_collinear_equal_waists():
@@ -304,7 +257,7 @@ def test_phi_z_rejects_bad_inputs(xi, dphi):
         phi_z_grid(xi, np.atleast_1d(dphi))
     if np.ndim(dphi) == 0:
         with pytest.raises(ValidationError):
-            phi_z(xi, dphi)
+            phi_z_curve(xi)(dphi)
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.933, 2.0, 5.0])
@@ -336,14 +289,15 @@ def test_phi_z_float_path_matches_adaptive_quadrature(xi):
     # small |delta_phi|; the power series below Xi = 1e-2 keeps 1e-12
     for points in (np.linspace(-300.0, 300.0, 601).tolist(), FAR_DELTA_PHI):
         ref = np.array([phi_z_qawo(xi, d) for d in points])
-        assert np.max(np.abs([phi_z(xi, d) for d in points] - ref)) < 1e-12
+        assert np.max(np.abs([phi_z_curve(xi)(d) for d in points] - ref)) < 1e-12
 
 
 def test_phi_z_at_delta_phi_max_matches_sinc():
     # one node row here holds ~1e5 doubles, more than a whole cos block
     dphi = [-DELTA_PHI_MAX, -DELTA_PHI_MAX + 0.5, DELTA_PHI_MAX - 1.25, DELTA_PHI_MAX]
-    assert np.max(np.abs(phi_z_grid(0.0, dphi) - [phi_z_thin(d) for d in dphi])) < 1e-12
-    assert abs(phi_z(0.0, DELTA_PHI_MAX) - phi_z_thin(DELTA_PHI_MAX)) < 1e-12
+    sinc = np.sinc(np.array(dphi) / np.pi)
+    assert np.max(np.abs(phi_z_grid(0.0, dphi) - sinc)) < 1e-12
+    assert abs(phi_z_curve(0.0)(DELTA_PHI_MAX) - sinc[-1]) < 1e-12
 
 
 def test_stored_legendre_rule_is_leggauss_32():
@@ -359,7 +313,7 @@ def test_stored_legendre_rule_is_leggauss_32():
 @pytest.mark.parametrize("xi", [0.0, 1e-6, 5e-3, 0.5, 2.0, 40.0])
 def test_phi_z_float_path_is_exactly_even(xi):
     for d in (1e-3, 0.5, 3.0, 15.0, 123.4, 99999.5):
-        assert phi_z(xi, -d).hex() == phi_z(xi, d).hex()
+        assert phi_z_curve(xi)(-d).hex() == phi_z_curve(xi)(d).hex()
 
 
 def test_faddeeva_matches_scipy_wofz():

@@ -8,7 +8,7 @@ import spdcgauss as sg
 from conftest import make_config, thin_crystal_rates
 from spdcgauss.config import SourceConfig
 from spdcgauss.constants import HBAR
-from spdcgauss.curves import gamma_sweep, optimal_gamma, phi_z_thin, waist_scaling
+from spdcgauss.curves import gamma_sweep, optimal_gamma, waist_scaling
 from spdcgauss.errors import (
     ComputationError,
     DegenerateDispersion,
@@ -135,7 +135,7 @@ def test_spectral_density_sinc_zeros_and_peak():
     shape = dens / (omega * (wp - omega))
     peak = int(np.argmax(shape))
     assert peak == SPECTRAL_POINTS // 2 and dphi[peak] == pytest.approx(0.0, abs=1e-6)
-    sinc2 = np.array([phi_z_thin(d) ** 2 for d in dphi.tolist()])
+    sinc2 = np.sinc(dphi / np.pi) ** 2
     np.testing.assert_allclose(shape / shape[peak], sinc2 / sinc2[peak], rtol=1e-9, atol=1e-13)
     for m in (-3, -2, -1, 1, 2, 3):
         # the row nearest a sinc zero lies within half a row spacing (0.05) of it
