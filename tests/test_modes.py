@@ -158,12 +158,15 @@ def test_phi_z_even_and_bounded():
                 assert -0.5 <= plus <= 1.0
 
 
-def test_phi_z_curve_thin_and_thick_limits():
+def test_phi_z_thin():
     thin = phi_z_curve(0.0)
     assert thin(0.0) == 1.0
     assert thin(math.pi) == pytest.approx(0.0, abs=1e-15)
     # half-power point of the sinc^2 spectrum
     assert thin(1.39155737825151) == pytest.approx(0.7071067811865476, rel=1e-10)
+
+
+def test_phi_z_thick():
     assert phi_z_curve(1.0)(0.0) == pytest.approx(0.7468241328124269, rel=1e-13)
     assert phi_z_curve(50.0)(0.0) == pytest.approx(math.sqrt(math.pi) / 100.0, rel=1e-13)
     assert phi_z_curve(1e-8)(0.0) == pytest.approx(1.0, rel=1e-13)
