@@ -23,9 +23,9 @@ import enum
 import functools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
-from importlib import resources
 
 from . import materials
 from .constants import C_LIGHT
@@ -151,7 +151,7 @@ class SourceConfig(namedtuple("SourceConfig", (
 
 def builtin_config_path(name: str = "bbo_branciard") -> str:
     """Filesystem path of a configuration shipped with the package."""
-    return str(resources.files(__package__).joinpath(f"data/{name}.json"))
+    return os.path.join(materials.DATA_DIR, f"{name}.json")
 
 
 def _get(d: dict, read: set, path: str, typ, required=True, default=None):

@@ -156,14 +156,15 @@ def spectral_integral_S(xi: float) -> float:
               = pi^{3/2} erf(sqrt2 Xi) / (2 sqrt2 Xi),
 
     with S = pi (the thin-crystal anchor) for Xi < 1e-8.  S decreases
-    monotonically with Xi.  ``xi`` is a scalar; plain float math, no numpy.
+    monotonically with Xi, and is > 0 at every finite Xi: at the largest,
+    1.1e-308, a subnormal float.  ``xi`` is a scalar; plain float math, no numpy.
     """
     if not 0 <= xi < math.inf:
         raise ValidationError("Xi must be finite and >= 0")
     if xi < 1e-8:
         return math.pi
-    r2 = math.sqrt(2.0)
-    return math.pi ** 1.5 * math.erf(r2 * xi) / (2.0 * r2 * xi)
+    h = 0.5 * math.sqrt(2.0) * xi  # Xi/sqrt2, finite where Xi is; x2 and x4 scale exactly
+    return math.pi ** 1.5 * math.erf(2.0 * h) / 4.0 / h
 
 
 def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:

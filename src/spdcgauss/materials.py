@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from collections import namedtuple
-from importlib import resources
 
 from .constants import C_LIGHT
 from .errors import DegenerateDispersion, OutOfRange, ParseError, ValidationError
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 
+# the shipped data files, beside this module: a copy under another name reads its own
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # smallest |n_i cos(theta_i) - n_s cos(theta_s)| dispersion_factor accepts
 DISPERSION_EPSILON = 1e-6
 
@@ -187,7 +189,7 @@ def load_material_db(path=None) -> dict:
     mistyped field or a repeated name raises ``ParseError``.
     """
     if path is None:
-        path = str(resources.files(__package__).joinpath("data/materials.json"))
+        path = os.path.join(DATA_DIR, "materials.json")
     doc = read_json(path, "material database")
     records = doc.get("materials", []) if isinstance(doc, dict) else None
     if not isinstance(records, list):

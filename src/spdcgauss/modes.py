@@ -107,7 +107,7 @@ def geometry_coefficients(
     H >= 0 holds exactly (Cauchy-Schwarz); a tiny negative H from
     cancellation is clamped, anything below -H_CLAMP raises
     :class:`NegativeH`.  Waists whose squares or their reciprocals leave
-    the float range, large or small, raise ``OverflowError``.
+    the float range, large or small, raise ``OverflowError``, as does an Xi beyond it.
     """
     if pump.role is not Role.PUMP or signal.role is not Role.SIGNAL \
             or idler.role is not Role.IDLER:
@@ -134,6 +134,9 @@ def geometry_coefficients(
             raise NegativeH(f"H = {H:.3e} 1/m^2; inconsistent geometry inputs")
         H = 0.0
     Xi = math.sqrt(H) * crystal_length_l / 2.0
+    if not Xi < math.inf:
+        raise OverflowError(f"Xi = sqrt(H) l/2 of H = {H!r} 1/m^2 and "
+                            f"l = {crystal_length_l!r} m leaves the float range")
     return OverlapGeometry(A=A, C=C, D=D, F=F, H=H, Xi=Xi)
 
 

@@ -231,6 +231,8 @@ def _closed_form(config: SourceConfig):
     geom = geometry_coefficients(config.pump, config.signal, config.idler,
                                  config.crystal.length_l)
     S = spectral_integral_S(geom.Xi)
+    if not S >= sys.float_info.min:  # subnormal beyond Xi ~ 8.85e307, short of digits
+        raise ComputationError(f"S = {S!r} at Xi = {geom.Xi!r} underflows the float range")
     disp = dispersion_factor(config.signal.n, config.idler.n, ths, thi)
     # refuses what total_rate's spectrum cannot sample, a crystal too short for it first
     lo, hi, center = _sample_range(config, disp)

@@ -220,6 +220,15 @@ def test_cli_sweep_xi(tmp_path):
     assert all(a > b for a, b in zip(svals, svals[1:]))
 
 
+def test_cli_sweep_xi_positive_up_to_the_float_maximum(tmp_path):
+    # S = pi^1.5 erf(sqrt2 Xi)/(2 sqrt2 Xi) once wrote 0.0 where 2 sqrt2 Xi overflowed
+    out = str(tmp_path / "o")
+    assert main(["sweep-xi", "--out", out, "--xi-min", "0",
+                 "--xi-max", repr(sys.float_info.max), "--points", "3"]) == 0
+    _, rows = read_csv(os.path.join(out, "sweep_xi.csv"))
+    assert len(rows) == 3 and all(float(s) > 0.0 for _, s in rows)
+
+
 def test_cli_sweep_gamma(tmp_path):
     out = str(tmp_path / "o")
     assert main(["sweep-gamma", "--out", out]) == 0
@@ -457,10 +466,11 @@ def test_cli_refused_spectrum_keeps_an_earlier_table(tmp_path, capsys, argv):
         assert fh.read() == table
 
 
-def run_child(*args, cwd=None, python=sys.executable, **env):
-    """``python *args`` in a fresh interpreter that imports the package under test,
-    with the variables ``env`` set too."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)),
+def run_child(*args, cwd=None, python=sys.executable, path=(), **env):
+    """``python *args`` in a fresh interpreter that imports the package under test, and
+    what lies in the directories ``path``, with the variables ``env`` set too."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(sg.__file__)), *path]),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", **env)
     return subprocess.run([python, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -548,6 +558,13 @@ IMPORT_CONTRACT = [
                  ("dataclasses", "numpy.ma", "numpy.polynomial", "scipy"),
                  ("numpy", *SOURCE_MODULES), id="rate"),
 ]
+# The rows again under python -S, which runs no site hook: a hook may load modules first
+# (a .pth file that imports certifi loads importlib.resources).  The package finds its
+# data by its own directory, so no row that reads a source loads importlib.resources.
+IMPORT_CONTRACT = [pytest.param((), *row.values, id=row.id) for row in IMPORT_CONTRACT] + [
+    pytest.param(("-S",), *row.values[:3], (*row.values[3], "importlib.resources"),
+                 row.values[4], id=f"{row.id}-S")
+    for row in IMPORT_CONTRACT if row.id in ("library", "refused", "compare-experiment", "rate")]
 
 # runs one row, prints the loaded modules, then checks that the lazy package
 # exports still bind through import *
@@ -573,9 +590,12 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv, code, stderr, unloaded, loaded", IMPORT_CONTRACT)
-def test_import_contract(tmp_path, argv, code, stderr, unloaded, loaded):
-    proc = run_child("-c", CONTRACT_CHILD, json.dumps(argv), cwd=tmp_path)
+@pytest.mark.parametrize("options, argv, code, stderr, unloaded, loaded", IMPORT_CONTRACT)
+def test_import_contract(tmp_path, options, argv, code, stderr, unloaded, loaded):
+    # without site, numpy's directory is not on sys.path: `rate` finds it on PYTHONPATH
+    numpy_path = [os.path.dirname(os.path.dirname(np.__file__))] if options else []
+    proc = run_child(*options, "-c", CONTRACT_CHILD, json.dumps(argv), cwd=tmp_path,
+                     path=numpy_path)
     assert (proc.returncode, proc.stderr) == (code, stderr)
     modules = set(json.loads(proc.stdout.splitlines()[-1]))
     assert [m for m in unloaded if m in modules] == []
@@ -639,6 +659,38 @@ def test_cli_compare_refuses_a_source_far_from_phase_matching(tmp_path, capsys):
                          "--set", f"crystal.theta_c_deg={theta_deg}"]) == 2
             err = capsys.readouterr().err.splitlines()
             assert err == ["error VALIDATION: omega_s must lie strictly inside (0, omega_p)"]
+
+
+# all three waists at 1e-3 um: Xi = sqrt(H) l/2 = 3.8e4 l_mm
+TINY_WAISTS = ["--set", "pump.waist_um=1e-3", "--set", "signal.waist_um=1e-3",
+               "--set", "idler.waist_um=1e-3"]
+
+
+@pytest.mark.parametrize("length_mm", ["2.33e303", "3e303"])
+@pytest.mark.parametrize("command", ["rate", "compare-experiment"])
+def test_cli_huge_xi_is_numerical(tmp_path, capsys, command, length_mm):
+    # at 2.33e303 mm, Xi = 8.9e307 and S = 2.2e-308 is subnormal; at 3e303 mm sqrt(H) l
+    # overflows.  Both exited 2 as VALIDATION, with S = 0.0 or Xi = inf out of range
+    assert main([command, "--config", sg.builtin_config_path(), "--out", str(tmp_path),
+                 *TINY_WAISTS, "--set", f"crystal.length_mm={length_mm}"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error NUMERICAL:")
+
+
+def test_cli_rate_overlap_limited_at_huge_xi(tmp_path, capsys):
+    # where Xi >> 1, R_T ~ l S(Xi) ~ l/Xi holds no crystal length: at 2e303 mm, Xi = 7.6e307
+    # and the normal S = 2.6e-308 give the rate of a 2 mm crystal (S once read 0.0, exit 2)
+    rates = []
+    for length_mm in ("2", "2e303"):
+        out = tmp_path / length_mm
+        assert main(["rate", "--config", sg.builtin_config_path(), "--out", str(out),
+                     *TINY_WAISTS, "--set", f"crystal.length_mm={length_mm}"]) == 0
+        _, rows = read_csv(out / "rate_report.csv")
+        rates.append({quantity: float(value) for quantity, value in rows if value})
+    assert capsys.readouterr().err == ""
+    assert rates[1]["Xi"] == pytest.approx(7.6479e307, rel=1e-4)
+    assert sys.float_info.min <= rates[1]["S"] < 3e-308
+    assert rates[1]["R_T_pairs_per_s"] == pytest.approx(rates[0]["R_T_pairs_per_s"], rel=1e-12)
 
 
 # every name the package exported before its exports became lazy, less EnergyMismatch
@@ -1130,6 +1182,26 @@ def _numeric_cells(path):
                 pass
 
 
+def _ladder_run(argv):
+    """``main(argv)``'s exit code, checked: 0 with nothing on stderr, or 2 or 3 with one
+    stderr line whose label carries that code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and err.endswith("\n"), (argv, err)
+        match = ERROR_LINE.match(lines[0])
+        assert match and EXIT_CODES[match.group(1)] == code, (argv, code, err)
+    return code
+
+
 def test_cli_field_ladder_exit_0_reports_only_normal_finite_numbers(tmp_path):
     # every numeric field at each rung of a fixed ladder: a refusal is one stderr line,
     # and an exit 0 writes no overflowed, NaN or subnormal (underflowed) number
@@ -1144,22 +1216,26 @@ def test_cli_field_ladder_exit_0_reports_only_normal_finite_numbers(tmp_path):
                         "--force"]
                 for key in fields:
                     argv += ["--set", f"{key}={value}"]
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-                        warnings.catch_warnings():
-                    warnings.simplefilter("error")  # a warning would be a second stderr line
-                    code = main(argv)
-                err = stderr.getvalue()
-                assert code in (0, 2, 3), (argv, code, err)
-                if code != 0:
-                    lines = err.splitlines()
-                    assert len(lines) == 1 and err.endswith("\n"), (argv, err)
-                    match = ERROR_LINE.match(lines[0])
-                    assert match and EXIT_CODES[match.group(1)] == code, (argv, code, err)
+                if _ladder_run(argv) != 0:
                     continue
-                assert err == "", (argv, err)
                 for table in tables:
                     for quantity, number in _numeric_cells(out / table):
                         assert math.isfinite(number) and (
                             number == 0.0 or abs(number) >= sys.float_info.min), \
                             (argv, table, quantity, number)
+
+
+def test_cli_table_flag_ladder_exit_0_writes_only_finite_cells(tmp_path):
+    # each grid flag of the table commands, and spectrum's --xi, at each rung of the ladder
+    # and at the float maximum: a refusal is one stderr line, and an exit 0 writes only
+    # finite cells (a table may write a subnormal S or Phi_z; rate and compare refuse one)
+    for command, table in (("spectrum", "spectrum_overlap.csv"), ("sweep-xi", "sweep_xi.csv"),
+                           ("sweep-gamma", "sweep_gamma.csv")):
+        out = tmp_path / command
+        flags = SWEEP_FLAGS[command] + (("--xi",) if command == "spectrum" else ())
+        for flag in flags:
+            for value in (*LADDER_VALUES, repr(sys.float_info.max)):
+                argv = [command, "--out", str(out), "--force", "--points", "5", f"{flag}={value}"]
+                if _ladder_run(argv) == 0:
+                    for _, number in _numeric_cells(out / table):
+                        assert math.isfinite(number), (argv, table, number)

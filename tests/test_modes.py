@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bruteforce import OVERLAP_INSTANCES, overlap_brute_force
 from conftest import S_parseval, phi_z_qawo, spectral_integral_S_direct
@@ -189,6 +192,41 @@ def test_erf_against_scipy_grid():
 def test_erf_range():
     for x in np.linspace(0.05, 30, 600):
         assert 0.0 < spectral_integral_S(float(x)) <= math.pi
+
+
+# every finite Xi >= 0, up to the float maximum, where sqrt2 Xi overflows
+FINITE_XI = st.floats(min_value=0.0, max_value=sys.float_info.max)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(xi=FINITE_XI)
+@example(xi=1e308)
+@example(xi=sys.float_info.max)
+def test_spectral_integral_in_range_over_all_floats(xi):
+    assert 0.0 < spectral_integral_S(xi) <= math.pi
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=FINITE_XI, b=FINITE_XI)
+@example(a=0.12551529419264107, b=0.1255152941926411)  # S rises by 3 ulp from a to b
+def test_spectral_integral_non_increasing_to_4_ulp(a, b):
+    # S is within ~2 ulp of its exact value (erf's rounding, then the product's and the
+    # quotient's), so where b > a, S(b) may exceed S(a) by up to 4 ulp; a is also paired
+    # with the next float up, where a rise is likeliest
+    for lo, hi in (sorted((a, b)), (a, math.nextafter(a, math.inf))):
+        if hi < math.inf:
+            s_lo = spectral_integral_S(lo)
+            assert spectral_integral_S(hi) <= s_lo + 4 * math.ulp(s_lo), (lo, hi)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(xi=FINITE_XI, delta_phi=st.floats(min_value=-DELTA_PHI_MAX, max_value=DELTA_PHI_MAX))
+@example(xi=sys.float_info.max, delta_phi=DELTA_PHI_MAX)
+def test_phi_z_curve_bounded_and_even_over_all_floats(xi, delta_phi):
+    curve = phi_z_curve(xi)
+    value = curve(delta_phi)
+    assert abs(value) <= 1.0
+    assert curve(-delta_phi) == value
 
 
 def test_overlap_phi_collinear_equal_waists():
