@@ -71,20 +71,16 @@ def _write_csv(out_dir, name, header, rows, force) -> str:
     return name
 
 
-def _write_json(out_dir, name, payload, force) -> str:
-    path = _checked_path(out_dir, name, force)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return name
-
-
 def _finish(args, outputs: list, parameters: dict):
+    """Writes ``run_manifest.json``, the one record of the run, and names every file."""
     manifest = {"command": args.command, "config_path": getattr(args, "config", None),
                 "output_dir": args.out, "overrides": getattr(args, "set", None) or [],
                 "outputs": outputs, "parameters": parameters}
-    outputs = outputs + [_write_json(args.out, "run_manifest.json", manifest, args.force)]
-    for name in outputs:
+    with open(_checked_path(args.out, "run_manifest.json", args.force), "w",
+              encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for name in outputs + ["run_manifest.json"]:
         print(f"wrote {os.path.join(args.out, name)}")
 
 
@@ -155,7 +151,8 @@ def _gamma_table(args, name, lo, hi, points):
             {"gamma": [lo, hi], "points": points})
 
 
-# each figure dataset: its manifest key, file, table (that of its command) and grid
+# each figure dataset: its key in the manifest's parameters, file, table (that of its
+# command) and grid
 FIGURES = (("longitudinal_overlap", "fig_longitudinal_overlap.csv", _overlap_table,
             FIG_OVERLAP_RANGE),
            ("spectral_integral", "fig_spectral_integral.csv", _xi_table, FIG_XI_RANGE),
@@ -197,7 +194,6 @@ def cmd_figures(args):
     for key, name, table, grid in FIGURES:
         written, params[key] = table(args, name, *grid)
         outputs.append(written)
-    outputs.append(_write_json(args.out, "figures_manifest.json", params, args.force))
     return outputs, params
 
 

@@ -173,17 +173,19 @@ def waist_scaling(waist_wp: float, waist_ws: float, waist_wi: float) -> float:
         1 / (Wp^2 Ws^2 Wi^2 A^2),  A = 1/Wp^2 + 1/Ws^2 + 1/Wi^2
 
     with A the overlap coefficient of
-    :func:`~spdcgauss.modes.geometry_coefficients`; symmetric under any
-    permutation of the three waists, which are scalars.  Waists whose
-    squares, products or quotients leave the float range, large or small,
-    raise ``OverflowError``.
+    :func:`~spdcgauss.modes.geometry_coefficients`.  The waists are scalars,
+    each finite and > 0, and are evaluated largest first, so the float
+    result, or the error, is the same under any permutation of them.  Waists
+    whose squares, products or quotients leave the float range, large or
+    small, raise ``OverflowError``.
     """
-    if min(waist_wp, waist_ws, waist_wi) <= 0:
-        raise ValidationError("waists must be > 0")
-    wp2, ws2, wi2 = waist_wp * waist_wp, waist_ws * waist_ws, waist_wi * waist_wi
+    waists = (waist_wp, waist_ws, waist_wi)
+    if not all(0 < w < math.inf for w in waists):
+        raise ValidationError(f"waists {waists!r} must be finite and > 0")
+    a2, b2, c2 = (w * w for w in sorted(waists, reverse=True))
     try:
-        s = 1.0 / wp2 + 1.0 / ws2 + 1.0 / wi2
-        rate = 1.0 / (wp2 * ws2 * wi2 * s * s)
+        s = 1.0 / a2 + 1.0 / b2 + 1.0 / c2
+        rate = 1.0 / (a2 * b2 * c2 * s * s)
     except ZeroDivisionError:  # a square or the product underflowed to 0
         rate = 0.0
     if not 0.0 < rate < math.inf:  # 0, inf or nan: an intermediate left the float range

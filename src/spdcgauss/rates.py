@@ -199,8 +199,10 @@ def closed_form_report(config: SourceConfig) -> RateReport:
     valid for equal waists, matched target angles and degenerate
     operation (omega_s omega_i is approximated by omega_p^2/4, as in the
     derivation of the closed form): it warns when the phase-matched signal
-    frequency lies more than DEGENERACY_OFFSET_MAX x omega_p/2 from omega_p/2.  It
-    refuses the sources whose spectrum :func:`total_rate` cannot sample.
+    frequency lies more than DEGENERACY_OFFSET_MAX x omega_p/2 from omega_p/2.  Under
+    the 'internal_physics' angle convention it warns when Xi deviates from a
+    reference Xi by over 5 %.  It refuses the sources whose spectrum
+    :func:`total_rate` cannot sample.
     """
     return _closed_form(config)[0]
 
@@ -253,6 +255,12 @@ def _closed_form(config: SourceConfig):
             f"{2e9 * config.pump.lambda_vac:.1f} nm; the closed form assumes near-degenerate "
             "operation"
         )
+    ref_xi = (config.reference_values or {}).get("xi")
+    if (config.angle_convention is AngleConvention.INTERNAL_PHYSICS
+            and ref_xi is not None and abs(geom.Xi - ref_xi) / ref_xi > 0.05):
+        warnings.append("walk-off parameter uses Snell-refracted internal angles and "
+                        "deviates from the reference value; the reference is reproduced "
+                        "under the 'paper_external_as_internal' convention")
     return (RateReport(Xi=geom.Xi, S=S, R_T=r_t, R_T_thin=r_thin,
                        spectral_samples=None, warnings=warnings), geom, (lo, hi))
 
@@ -296,8 +304,8 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
     """Side-by-side comparison of model outputs with the reference values
     carried in the config (observed/predicted rates, efficiencies), as a
     list of :class:`ComparisonRow`.  ``report`` is the config's
-    :func:`closed_form_report` or :func:`total_rate`; a walk-off warning
-    is appended to its ``warnings`` unless they already hold it.
+    :func:`closed_form_report` or :func:`total_rate`; it is read, never
+    changed, and its ``warnings`` are the source's.
 
     The observable rate applies the experiment-specific factors: the
     measured pair-to-singles ratio and the decay-path multiplicity
@@ -314,14 +322,6 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
     eff_mm, eff_mm_sr = _efficiencies(config, paths * _thin_rate(config))
 
     ref = config.reference_values or {}
-    ref_xi = ref.get("xi")
-    walk_off = ("walk-off parameter uses Snell-refracted internal angles and "
-                "deviates from the reference value; the reference is reproduced "
-                "under the 'paper_external_as_internal' convention")
-    if (config.angle_convention is AngleConvention.INTERNAL_PHYSICS
-            and ref_xi is not None and abs(report.Xi - ref_xi) / ref_xi > 0.05
-            and walk_off not in report.warnings):
-        report.warnings.append(walk_off)
     per_mw = 1e3 * config.pump_power_p  # rates are quoted per mW of pump
 
     def row(name, model, key):

@@ -154,13 +154,13 @@ def test_criterion_9_figures_determinism(tmp_path):
 
     out = str(tmp_path / "run")
     names = ["fig_longitudinal_overlap.csv", "fig_spectral_integral.csv",
-             "fig_waist_ratio.csv", "figures_manifest.json",
-             "run_manifest.json"]
+             "fig_waist_ratio.csv", "run_manifest.json"]
     assert main(["figures", "--out", out]) == 0
-    first = {name: open(f"{out}/{name}", "rb").read() for name in names}
+    first = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(names)
     assert main(["figures", "--out", out, "--force"]) == 0
     for name in names:
-        assert open(f"{out}/{name}", "rb").read() == first[name], \
+        assert (tmp_path / "run" / name).read_bytes() == first[name], \
             f"{name} differs between runs"
     report(9, "figures command output byte-identical across two consecutive "
               f"runs ({len(names)} files)")

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import platform
 import re
 import subprocess
@@ -82,7 +83,7 @@ def test_validation_external_angle_outside_range(angle, convention):
 
 
 def test_validation_missing_polarization(tmp_path):
-    raw = json.load(open(sg.builtin_config_path()))
+    raw = json.loads(pathlib.Path(sg.builtin_config_path()).read_text(encoding="utf-8"))
     del raw["polarization_assignment"]
     p = tmp_path / "c.json"
     p.write_text(json.dumps(raw))
@@ -259,7 +260,7 @@ def test_cli_rate_and_set_override(tmp_path):
     r1, r2 = rt(out1), rt(out2)
     assert float(r2["R_T_pairs_per_s"]) == pytest.approx(
         2 * float(r1["R_T_pairs_per_s"]), rel=1e-9)
-    manifest = json.load(open(os.path.join(out2, "run_manifest.json")))
+    manifest = json.loads(pathlib.Path(out2, "run_manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "rate"
     assert manifest["overrides"] == ["pump.power_mw=2.0"]
     assert "rate_report.csv" in manifest["outputs"]
@@ -330,12 +331,50 @@ def test_cli_compare_internal_convention_warns(tmp_path, capsys):
     assert "warning" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("convention, warns", [("internal_physics", 1),
+                                               ("paper_external_as_internal", 0)])
+def test_cli_rate_and_compare_print_the_walk_off_warning(tmp_path, capsys, convention, warns):
+    # the source's report decides the warning, so rate prints it as compare-experiment does
+    for command in ("rate", "compare-experiment"):
+        assert main([command, "--config", sg.builtin_config_path(), "--out",
+                     str(tmp_path / command), "--set", f"angle_convention={convention}"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("warning: walk-off parameter") for line in lines) == warns
+
+
 def test_cli_overwrite_refusal(tmp_path):
     out = str(tmp_path / "o")
     args = ["sweep-gamma", "--out", out, "--points", "11"]
     assert main(args) == 0
     assert main(args) == 4
     assert main(args + ["--force"]) == 0
+
+
+def test_cli_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("")
+    assert main(["sweep-gamma", "--out", str(out), "--points", "11"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error IO:"), err
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("text", ["[]", "[{}]", "3", '"bbo"', "null"])
+def test_cli_config_not_a_json_object_is_a_parse_error(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main(["rate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error PARSE: {cfg}: top level must be a JSON object"]
+
+
+def test_cli_compare_without_a_solid_angle_writes_no_per_sr_row(tmp_path):
+    out = tmp_path / "o"
+    assert main(["compare-experiment", "--config", sg.builtin_config_path(), "--out", str(out),
+                 "--set", "collection.solid_angle_sr=null"]) == 0
+    _, rows = read_csv(str(out / "comparison.csv"))
+    names = [r[0] for r in rows]
+    assert "efficiency_per_mm" in names and "efficiency_per_mm_sr" not in names
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):
@@ -438,6 +477,8 @@ def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     # a reference that is 0, negative or subnormal scales no relative deviation (it read inf)
     *(["compare-experiment", "--config", sg.builtin_config_path(), "--set", f"reference.{ref}"]
       for ref in ("xi=5e-324", "xi=0", "predicted_observable_per_mw_s=-1e-320")),
+    # an override that is not KEY=VALUE
+    ["rate", "--config", sg.builtin_config_path(), "--set", "pumpwaist"],
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_non_finite_inputs_refused(tmp_path, capsys, argv):
@@ -911,8 +952,8 @@ def test_cli_material_db_names_its_d_eff_form(tmp_path, capsys, form):
 
     if form == "3m_d22":
         assert rate("bbo") == 0 and rate("copy", "--set", 'crystal.material="BBO-copy"') == 0
-        assert (open(tmp_path / "bbo" / "rate_report.csv").read()
-                == open(tmp_path / "copy" / "rate_report.csv").read())
+        assert ((tmp_path / "bbo" / "rate_report.csv").read_bytes()
+                == (tmp_path / "copy" / "rate_report.csv").read_bytes())
         return
     assert rate("bbo") == 2  # a record the model cannot evaluate refuses the whole database
     err = capsys.readouterr().err.splitlines()
@@ -1021,7 +1062,7 @@ def test_figures_are_the_command_tables_at_their_defaults(tmp_path):
     # figures writes each dataset through its command's table function
     figures = tmp_path / "figures"
     assert main(["figures", "--out", str(figures)]) == 0
-    manifest = json.loads((figures / "figures_manifest.json").read_text())
+    manifest = json.loads((figures / "run_manifest.json").read_text())["parameters"]
     for command, table, figure, key in [
             ("spectrum", "spectrum_overlap.csv", "fig_longitudinal_overlap.csv",
              "longitudinal_overlap"),
@@ -1038,8 +1079,8 @@ def test_cli_determinism_sweep(tmp_path):
     args = ["--points", "51", "--xi-max", "1.0"]
     assert main(["sweep-xi", "--out", out1] + args) == 0
     assert main(["sweep-xi", "--out", out2] + args) == 0
-    b1 = open(os.path.join(out1, "sweep_xi.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "sweep_xi.csv"), "rb").read()
+    b1 = pathlib.Path(out1, "sweep_xi.csv").read_bytes()
+    b2 = pathlib.Path(out2, "sweep_xi.csv").read_bytes()
     assert b1 == b2
 
 

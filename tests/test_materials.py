@@ -110,6 +110,22 @@ def test_internal_angle():
     assert internal_angle(0.2, 1.0) == pytest.approx(0.2, rel=1e-15)
 
 
+@pytest.mark.parametrize("theta", [-0.1, math.pi / 2 + 1e-9, math.nan])
+def test_index_ellipse_refuses_an_angle_outside_its_domain(bbo, theta):
+    with pytest.raises(ValidationError, match=r"theta must lie in \[0, pi/2\]"):
+        index_extraordinary(bbo, LAM_D, theta)
+
+
+@pytest.mark.parametrize("theta, n, message", [
+    (-0.1, 1.6, r"theta_external must lie in \[0, pi/2\)"),
+    (math.pi / 2, 1.6, r"theta_external must lie in \[0, pi/2\)"),
+    (0.1, 0.99, "n_inside must be >= 1"),
+])
+def test_internal_angle_refuses_input_outside_its_domain(theta, n, message):
+    with pytest.raises(ValidationError, match=message):
+        internal_angle(theta, n)
+
+
 def test_internal_external_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -66,6 +66,12 @@ def test_alpha_value_and_scaling():
     assert normalization_alpha(2 * 82e-6) == pytest.approx(a / 2, rel=1e-15)
 
 
+@pytest.mark.parametrize("waist", [0.0, -82e-6, math.nan])
+def test_alpha_refuses_a_waist_not_above_zero(waist):
+    with pytest.raises(ValidationError, match="waist must be > 0"):
+        normalization_alpha(waist)
+
+
 def test_alpha_normalizes_envelope():
     w = 82e-6
     a = normalization_alpha(w)
@@ -119,6 +125,15 @@ def test_geometry_requires_roles():
         geometry_coefficients(s, p, i, 1e-3)
 
 
+@pytest.mark.parametrize("l", [0.0, -2e-3, math.nan])
+def test_geometry_and_overlap_refuse_a_length_not_above_zero(l):
+    p, s, i = mode(Role.PUMP), mode(Role.SIGNAL), mode(Role.IDLER)
+    with pytest.raises(ValidationError, match="crystal length must be > 0"):
+        geometry_coefficients(p, s, i, l)
+    with pytest.raises(ValidationError, match="crystal length must be > 0"):
+        overlap_phi(geometry(), 0.0, np.zeros(3), l)
+
+
 def test_mode_invariants():
     with pytest.raises(ValidationError):
         GaussianMode(-1e-6, 702e-9, 0.0, 1.6, Role.SIGNAL)
@@ -128,11 +143,26 @@ def test_mode_invariants():
         GaussianMode(math.inf, 702e-9, 0.0, 1.6, Role.SIGNAL)
     with pytest.raises(ValidationError, match="idler.theta"):
         GaussianMode(82e-6, 702e-9, math.nan, 1.6, Role.IDLER)
+    for lam in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="signal.wavelength must be finite and > 0"):
+            GaussianMode(82e-6, lam, 0.0, 1.6, Role.SIGNAL)
+    for n in (0.99, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="pump.n must be finite and >= 1"):
+            GaussianMode(82e-6, 351e-9, 0.0, n, Role.PUMP)
 
 
 def test_overlap_geometry_invariants():
     with pytest.raises(ValidationError):
         OverlapGeometry(A=1.0, C=2.0, D=0.0, F=0.0, H=0.0, Xi=0.0)  # A < C
+    valid = OverlapGeometry(A=2.0, C=1.0, D=0.0, F=0.0, H=0.0, Xi=0.0)
+    for negative in ({"F": -1.0}, {"H": -1.0}, {"Xi": -1.0}):
+        with pytest.raises(ValidationError, match="F, H and Xi must be >= 0"):
+            valid._replace(**negative)
+
+
+def test_phi_z_grid_of_an_empty_array_is_empty():
+    out = phi_z_grid(1.0, np.array([]))
+    assert out.shape == (0,) and out.dtype == float
 
 
 def test_phi_z_anchor_points():

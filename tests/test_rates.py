@@ -1,8 +1,12 @@
+import copy
+import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import spdcgauss as sg
 from conftest import make_config, thin_crystal_rates
@@ -20,6 +24,7 @@ from spdcgauss.rates import (
     SPECTRAL_SPAN_DPHI,
     RateReport,
     _delta_k_z,
+    _sample_range,
     closed_form_report,
     comparison_rows,
     experiment_comparison,
@@ -41,6 +46,13 @@ def test_pump_amplitude_examples():
     assert base == pytest.approx(PUMP_AMP_SQ_10MW, rel=1e-12)
     assert pump_amplitude_sq(20e-3, 82e-6, 1.707) == pytest.approx(2 * base, rel=1e-14)
     assert pump_amplitude_sq(10e-3, 164e-6, 1.707) == pytest.approx(base / 4, rel=1e-14)
+
+
+@pytest.mark.parametrize("power, waist, n_p", [(0.0, 82e-6, 1.707), (10e-3, 0.0, 1.707),
+                                               (10e-3, 82e-6, 0.99), (math.nan, 82e-6, 1.707)])
+def test_pump_amplitude_refuses_bad_input(power, waist, n_p):
+    with pytest.raises(ValidationError, match="require P > 0, Wp > 0, n_p >= 1"):
+        pump_amplitude_sq(power, waist, n_p)
 
 
 def test_total_rate_bbo_example():
@@ -258,6 +270,8 @@ def test_records_check_their_fields_and_are_immutable_tuples():
         (cfg.crystal, {"length_l": math.inf}, "crystal length_l"),
         (cfg.crystal.ordinary, {"valid_range_m": (1e-6, 1e-7)}, "valid_range"),
         (report, {"R_T": -1.0}, "rates must be >= 0"),
+        (report, {"S": 0.0}, r"S = 0.0 outside \(0, pi\]"),
+        (report, {"S": 3.2}, r"S = 3.2 outside \(0, pi\]"),
     ]:
         with pytest.raises(ValidationError, match=message):
             record._replace(**change)
@@ -339,6 +353,29 @@ def test_gamma_sweep_matches_array_formula():
     assert gamma_sweep(0.1, 3.0, 581) == np.column_stack((g, y / y.max())).tolist()
 
 
+POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@given(POSITIVE_FLOATS, POSITIVE_FLOATS, POSITIVE_FLOATS)
+@example(1.35329e-64, 1.19361e-98, 3.00964e+73)  # 4.54e-216 or 8.59e-216 by order
+@example(2.18699e-75, 2.2645e-100, 3.09388e+23)  # refused in some orders only
+def test_waist_scaling_is_the_same_float_in_every_order(wp, ws, wi):
+    def outcome(waists):
+        try:
+            return waist_scaling(*waists)
+        except OverflowError:
+            return OverflowError
+    assert len({outcome(order) for order in itertools.permutations((wp, ws, wi))}) == 1
+
+
+@pytest.mark.parametrize("waists", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                    (1.0, 1.0, -math.inf), (0.0, 1.0, 1.0), (1.0, -1e-6, 1.0)])
+def test_waist_scaling_refuses_non_finite_or_non_positive_waists(waists):
+    # nan and inf passed the check and ended in OverflowError (exit 3)
+    with pytest.raises(ValidationError, match="must be finite and > 0"):
+        waist_scaling(*waists)
+
+
 def test_waist_scaling_beyond_float_range_raises():
     # too large or too small: a square or product that overflows, one that underflows
     # to 0 (a division by zero), and an inf * 0 that makes nan
@@ -349,12 +386,25 @@ def test_waist_scaling_beyond_float_range_raises():
 
 
 def test_comparison_rows_warns_of_walk_off_once():
-    # each call appended the warning again
+    # the source's report decides the walk-off warning; comparison_rows, which appended
+    # it to the report it was handed, reads that report and changes nothing in it
     cfg = sg.load_config(sg.builtin_config_path(), overrides=["angle_convention=internal_physics"])
-    report = closed_form_report(cfg)
-    first = comparison_rows(cfg, report)
-    assert comparison_rows(cfg, report) == first
-    assert sum("walk-off parameter" in w for w in report.warnings) == 1
+    for report in (closed_form_report(cfg), total_rate(cfg)):
+        assert sum("walk-off parameter" in w for w in report.warnings) == 1
+        before = copy.deepcopy(report)
+        first = comparison_rows(cfg, report)
+        assert comparison_rows(cfg, report) == first
+        assert report._replace(spectral_samples=None) == before._replace(spectral_samples=None)
+        assert np.array_equal(report.spectral_samples, before.spectral_samples)  # None, None too
+    shipped = sg.load_config(sg.builtin_config_path())
+    assert not any("walk-off parameter" in w for w in closed_form_report(shipped).warnings)
+
+
+def test_sample_range_beyond_the_float_range_raises():
+    # a subnormal spectral slope: the half-width 100/|slope| and the matched point are inf
+    cfg = sg.load_config(sg.builtin_config_path())
+    with pytest.raises(OverflowError, match="sampled signal frequencies .* leave the float range"):
+        _sample_range(cfg, 1e-320)
 
 
 # pump powers (mW) and crystal lengths (mm) whose 4 d^2 P l falls below the smallest
