@@ -199,7 +199,6 @@ def cmd_figures(args):
 
 def cmd_compare_experiment(args, cfg):
     from . import rates
-    rates._require_pair_ratio(cfg)  # refused before the rates, as experiment_comparison does
     report = rates.closed_form_report(cfg)
     rows = rates.comparison_rows(cfg, report)
     csv_rows = [

@@ -1,13 +1,15 @@
 """Source-configuration files: JSON with explicit unit suffixes in the
 field names (``waist_um``, ``wavelength_nm``, ``power_mw``, ``length_mm``,
-``angle_deg``), converted to SI on load.
+``angle_deg``), converted to SI on load.  A key that no field reads, in the
+file or in a ``--set`` override, is refused.
 
 Loading resolves everything the rate model needs: the crystal is looked
-up in the material database, refractive indices are assigned (pump
-extraordinary at the cut angle, as phase matching in a negative uniaxial
-crystal requires; daughters ordinary/extraordinary per the configured
-assignment, the extraordinary one evaluated at the cut angle), and the
-external collection angle is converted per the angle convention.
+up in the material database, both daughters take twice the pump wavelength
+(degenerate operation), refractive indices are assigned (pump extraordinary
+at the cut angle, as phase matching in a negative uniaxial crystal requires;
+daughters ordinary/extraordinary per the configured assignment, the
+extraordinary one evaluated at the cut angle), and the external collection
+angle is converted per the angle convention.
 
 The source records live here, beside the loader that builds them: Role,
 GaussianMode, AngleConvention, PolarizationAssignment and SourceConfig.
@@ -155,10 +157,11 @@ def builtin_config_path(name: str = "bbo_branciard") -> str:
 
 
 def _get(d: dict, read: set, path: str, typ, required=True, default=None):
-    read.add(path)
+    # a path is a field or section.field, recorded as its parts so that a dotted
+    # top-level key is no section's field; a reference key may itself hold a dot
+    parts = tuple(path.split(".", 1))
+    read.add(parts)
     cur = d
-    # a path is a field or section.field; a reference key may itself hold a dot
-    parts = path.split(".", 1)
     for p in parts[:-1]:
         cur = cur.get(p, {}) if isinstance(cur, dict) else {}
     leaf = cur.get(parts[-1]) if isinstance(cur, dict) else None
@@ -206,19 +209,18 @@ def apply_overrides(raw: dict, overrides) -> dict:
     return raw
 
 
-def config_from_dict(raw: dict, material_db: dict, read: set | None = None) -> SourceConfig:
-    """Resolve a raw config dict into a SourceConfig; ``read`` gets each path looked up."""
-    get = functools.partial(_get, raw, set() if read is None else read)
+def config_from_dict(raw: dict, material_db: dict) -> SourceConfig:
+    """Resolve a raw config dict into a SourceConfig, refusing any key, at the
+    top level or in a section, that no field reads (``reference`` takes any)."""
+    read = set()
+    get = functools.partial(_get, raw, read)
+    get("name", str, required=False)  # a free-form label of the file
     lam_p = get("pump.wavelength_nm", float) * 1e-9
+    lam_d = 2.0 * lam_p  # degenerate daughters
     power = get("pump.power_mw", float) * 1e-3
     waist_p = get("pump.waist_um", float) * 1e-6
     waist_s = get("signal.waist_um", float) * 1e-6
     waist_i = get("idler.waist_um", float) * 1e-6
-    lam_d = 2.0 * lam_p
-    lam_s = get("signal.wavelength_nm", float, required=False)
-    lam_i = get("idler.wavelength_nm", float, required=False)
-    lam_s = lam_s * 1e-9 if lam_s is not None else lam_d
-    lam_i = lam_i * 1e-9 if lam_i is not None else lam_d
 
     mat_name = get("crystal.material", str)
     if mat_name not in material_db:
@@ -240,8 +242,8 @@ def config_from_dict(raw: dict, material_db: dict, read: set | None = None) -> S
     # pump is extraordinary-polarized at the cut angle; the extraordinary
     # daughter's small tilt off the cut angle is neglected in its index
     n_p = materials.index_extraordinary(crystal, lam_p, crystal.theta_c)
-    n_ord = materials.index_ordinary(crystal, lam_s)
-    n_ext = materials.index_extraordinary(crystal, lam_i, crystal.theta_c)
+    n_ord = materials.index_ordinary(crystal, lam_d)
+    n_ext = materials.index_extraordinary(crystal, lam_d, crystal.theta_c)
     if pol is PolarizationAssignment.SIGNAL_ORDINARY:
         n_s, n_i = n_ord, n_ext
     else:
@@ -258,14 +260,14 @@ def config_from_dict(raw: dict, material_db: dict, read: set | None = None) -> S
         th_s = th_i = theta_ext
 
     pump = GaussianMode(waist_p, lam_p, 0.0, n_p, Role.PUMP)
-    signal = GaussianMode(waist_s, lam_s, th_s, n_s, Role.SIGNAL)
-    idler = GaussianMode(waist_i, lam_i, th_i, n_i, Role.IDLER)
+    signal = GaussianMode(waist_s, lam_d, th_s, n_s, Role.SIGNAL)
+    idler = GaussianMode(waist_i, lam_d, th_i, n_i, Role.IDLER)
 
     decay_paths = get("collection.decay_paths", int, required=False, default=2)
 
     reference = {key: get(f"reference.{key}", float)
                  for key in get("reference", dict, required=False, default={})}
-    return SourceConfig(
+    cfg = SourceConfig(
         pump_power_p=power,
         pump=pump,
         signal=signal,
@@ -278,19 +280,19 @@ def config_from_dict(raw: dict, material_db: dict, read: set | None = None) -> S
         decay_path_multiplicity=decay_paths,
         reference_values=reference,
     )
+    for top, value in raw.items():  # after the last get; an empty object is a key too
+        for key in [(top, k) for k in value] if isinstance(value, dict) and value else [(top,)]:
+            if key not in read:
+                raise ValidationError(f"key {'.'.join(key)!r}: no config field has this path")
+    return cfg
 
 
 def load_config(path: str, material_db_path: str | None = None,
                 overrides=None) -> SourceConfig:
-    """Load, validate and resolve a source-configuration file; an override
-    key must name a field the config reads, or an object holding one."""
+    """Load, validate and resolve a source-configuration file, its ``--set``
+    overrides applied before :func:`config_from_dict` checks the keys."""
     raw = materials.read_json(path, "config")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    raw = apply_overrides(raw, overrides)
-    read = set()
-    cfg = config_from_dict(raw, materials.load_material_db(material_db_path), read)
-    for key in (item.partition("=")[0].strip() for item in overrides or []):
-        if key not in read and not any(field.startswith(key + ".") for field in read):
-            raise ValidationError(f"override {key!r}: no config field has this path")
-    return cfg
+    return config_from_dict(apply_overrides(raw, overrides),
+                            materials.load_material_db(material_db_path))

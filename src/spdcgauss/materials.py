@@ -255,7 +255,7 @@ def internal_angle(theta_external: float, n_inside: float) -> float:
     sin(theta_ext) = n_inside * sin(theta_int)."""
     if not 0 <= theta_external < math.pi / 2:
         raise ValidationError("theta_external must lie in [0, pi/2)")
-    if n_inside < 1.0:
+    if not 1.0 <= n_inside < math.inf:
         raise ValidationError("n_inside must be >= 1")
     return math.asin(math.sin(theta_external) / n_inside)
 

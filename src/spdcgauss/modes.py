@@ -85,7 +85,7 @@ class OverlapGeometry(namedtuple("OverlapGeometry", "A C D F H Xi")):
 def normalization_alpha(waist_w: float) -> float:
     """Envelope normalization alpha = sqrt(2/(pi W^2)) such that
     alpha^2 * integral |U|^2 dx dy = 1."""
-    if not waist_w > 0:
+    if not 0 < waist_w < math.inf:
         raise ValidationError("waist must be > 0")
     return math.sqrt(2.0 / (math.pi * waist_w * waist_w))
 

@@ -66,7 +66,7 @@ class RateReport(namedtuple("RateReport", "Xi S R_T R_T_thin spectral_samples wa
 def pump_amplitude_sq(power_p: float, waist_wp: float, n_p: float) -> float:
     """Squared pump field amplitude |E_p0|^2 = (2/(pi Wp^2)) * 2P/(eps0 n_p c),
     in V^2/m^2, for a monochromatic Gaussian pump carrying power P."""
-    if not (power_p > 0 and waist_wp > 0 and n_p >= 1):
+    if not (0 < power_p < math.inf and 0 < waist_wp < math.inf and 1 <= n_p < math.inf):
         raise ValidationError("require P > 0, Wp > 0, n_p >= 1")
     alpha_sq = 2.0 / (math.pi * waist_wp * waist_wp)
     return alpha_sq * 2.0 * power_p / (EPSILON_0 * n_p * C_LIGHT)
@@ -315,8 +315,9 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
     length and "per mm" is well defined, again with the decay-path
     factor applied.
     """
-    _require_pair_ratio(config)
     ratio = config.pair_to_singles_ratio
+    if ratio is None:
+        raise ValidationError("pair_to_singles_ratio is required for the comparison")
     paths = config.decay_path_multiplicity
     observable = _product(config, "the observable paths ratio R_T", paths, ratio, report.R_T)
     eff_mm, eff_mm_sr = _efficiencies(config, paths * _thin_rate(config))
@@ -349,11 +350,6 @@ def comparison_rows(config: SourceConfig, report: RateReport) -> list:
     return rows
 
 
-def _require_pair_ratio(config: SourceConfig):
-    if config.pair_to_singles_ratio is None:
-        raise ValidationError("pair_to_singles_ratio is required for the comparison")
-
-
 def experiment_comparison(config: SourceConfig):
     """:func:`comparison_rows` of the config's :func:`total_rate`.
 
@@ -361,6 +357,5 @@ def experiment_comparison(config: SourceConfig):
     :class:`ComparisonRow` and ``report`` the underlying
     :class:`RateReport`, sampled spectrum included.
     """
-    _require_pair_ratio(config)  # before the rate work
     report = total_rate(config)
     return comparison_rows(config, report), report

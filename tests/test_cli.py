@@ -103,12 +103,17 @@ def test_parse_error_malformed(tmp_path):
         sg.load_config(str(p))
 
 
-def test_overrides_of_absent_fields_objects_and_references(bbo_config):
+def test_overrides_of_absent_fields_objects_and_references(bbo_config, tmp_path):
+    with open(sg.builtin_config_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    del raw["collection"]["decay_paths"]
+    path = tmp_path / "no_decay_paths.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
     pump = json.dumps({"wavelength_nm": 351.1, "power_mw": 1.0, "waist_um": 82.0})
-    cfg = sg.load_config(sg.builtin_config_path(),
-                         overrides=["signal.wavelength_nm=702.2", f"pump={pump}",
-                                    "reference.new_value=3"])
+    cfg = sg.load_config(str(path), overrides=["collection.decay_paths=3", f"pump={pump}",
+                                               "reference.new_value=3"])
     assert cfg.signal == bbo_config.signal and cfg.pump == bbo_config.pump
+    assert cfg.decay_path_multiplicity == 3
     assert cfg.reference_values["new_value"] == 3.0
 
 
@@ -140,10 +145,37 @@ def test_override_key_no_field_reads_refused(key):
         sg.load_config(sg.builtin_config_path(), overrides=[f"{key}=5"])
 
 
-def test_degenerate_wavelength_enforced():
+def test_degenerate_wavelength_enforced(bbo_config):
     with pytest.raises(ValidationError, match="wavelength"):
         sg.load_config(sg.builtin_config_path(),
                        overrides=["signal.wavelength_nm=700.0"])
+    # a record built directly meets the record's own check
+    for role in ("signal", "idler"):
+        mode = getattr(bbo_config, role)._replace(lambda_vac=700e-9)
+        with pytest.raises(ValidationError, match=f"{role}.wavelength: degenerate operation"):
+            bbo_config._replace(**{role: mode})
+
+
+@pytest.mark.parametrize("command", ["rate", "compare-experiment"])
+@pytest.mark.parametrize("section, key, value", [
+    ("collection", "decay_path", 1),  # a misspelt decay_paths: ran at the default 2 paths
+    (None, "angle_conventon", "paper_external_as_internal"),  # ran under the default
+    ("signal", "wavelength_nm", 702.2),  # the daughters are 2 lambda_p, set by no field
+    (None, "extra", {}),  # an empty object holds no field to read
+    (None, "crystal.length_mm", 2.0),  # a dotted top-level key is no section's field
+])
+def test_config_file_key_no_field_reads_refused(tmp_path, capsys, command, section, key, value):
+    with open(sg.builtin_config_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    (raw[section] if section else raw)[key] = value
+    path = tmp_path / "unread.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    name = f"{section}.{key}" if section else key
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error VALIDATION:") and repr(name) in err[0]
+    assert not out.exists() or not os.listdir(out)
 
 
 # ------------------------------------------------------------------ CLI
@@ -1138,18 +1170,19 @@ SWEEP_FLAGS = {"spectrum": ("--dphi-min", "--dphi-max"),
 
 @functools.cache
 def _shipped_reads():
-    """The shipped config's JSON and the keys ``config_from_dict`` reads on it."""
+    """The shipped config's JSON and the paths of its leaves: the fields
+    ``config_from_dict`` reads on it, since it refuses any key it does not read."""
     with open(sg.builtin_config_path(), encoding="utf-8") as fh:
         raw = json.load(fh)
-    read = set()
-    sg.config.config_from_dict(raw, sg.materials.load_material_db(), read)
+    read = {top for top, value in raw.items() if not isinstance(value, dict)}
+    read |= {f"{top}.{key}" for top, value in raw.items() if isinstance(value, dict)
+             for key in value}
     return raw, frozenset(read)
 
 
 def _override_keys():
-    """Keys of the random draws: each key ``config_from_dict`` reads on the shipped
-    config, so a new field joins by itself, then each ``OVERRIDE_KEYS`` entry it does
-    not read."""
+    """Keys of the random draws: each field the shipped config sets, so a field added
+    to it joins by itself, then each ``OVERRIDE_KEYS`` entry it does not set."""
     read = _shipped_reads()[1]
     return tuple(sorted(read)) + tuple(key for key in OVERRIDE_KEYS if key not in read)
 
@@ -1195,9 +1228,9 @@ def test_cli_adversarial_inputs_keep_the_error_contract(tmp_path_factory, data):
 
 
 def _ladder_keys():
-    """Override keys of the fixed ladder: each field ``config_from_dict`` reads on the
-    shipped config whose value there is not a string or an object (the three waists as
-    one tied key), then each ``OVERRIDE_KEYS`` entry it does not read."""
+    """Override keys of the fixed ladder: each field the shipped config sets whose
+    value there is not a string or an object (the three waists as one tied key), then
+    each ``OVERRIDE_KEYS`` entry it does not set."""
     raw, read = _shipped_reads()
 
     def shipped(path):

@@ -120,6 +120,8 @@ def test_index_ellipse_refuses_an_angle_outside_its_domain(bbo, theta):
     (-0.1, 1.6, r"theta_external must lie in \[0, pi/2\)"),
     (math.pi / 2, 1.6, r"theta_external must lie in \[0, pi/2\)"),
     (0.1, 0.99, "n_inside must be >= 1"),
+    (0.1, math.nan, "n_inside must be >= 1"),
+    (0.1, math.inf, "n_inside must be >= 1"),
 ])
 def test_internal_angle_refuses_input_outside_its_domain(theta, n, message):
     with pytest.raises(ValidationError, match=message):

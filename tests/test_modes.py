@@ -66,7 +66,7 @@ def test_alpha_value_and_scaling():
     assert normalization_alpha(2 * 82e-6) == pytest.approx(a / 2, rel=1e-15)
 
 
-@pytest.mark.parametrize("waist", [0.0, -82e-6, math.nan])
+@pytest.mark.parametrize("waist", [0.0, -82e-6, math.nan, math.inf])
 def test_alpha_refuses_a_waist_not_above_zero(waist):
     with pytest.raises(ValidationError, match="waist must be > 0"):
         normalization_alpha(waist)

@@ -49,7 +49,9 @@ def test_pump_amplitude_examples():
 
 
 @pytest.mark.parametrize("power, waist, n_p", [(0.0, 82e-6, 1.707), (10e-3, 0.0, 1.707),
-                                               (10e-3, 82e-6, 0.99), (math.nan, 82e-6, 1.707)])
+                                               (10e-3, 82e-6, 0.99), (math.nan, 82e-6, 1.707),
+                                               (math.inf, 82e-6, 1.707), (10e-3, math.inf, 1.707),
+                                               (10e-3, 82e-6, math.inf)])
 def test_pump_amplitude_refuses_bad_input(power, waist, n_p):
     with pytest.raises(ValidationError, match="require P > 0, Wp > 0, n_p >= 1"):
         pump_amplitude_sq(power, waist, n_p)
@@ -296,8 +298,13 @@ def test_records_check_their_fields_and_are_immutable_tuples():
 
 def test_experiment_comparison_requires_ratio():
     cfg = make_config()._replace(pair_to_singles_ratio=None)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="pair_to_singles_ratio is required"):
         experiment_comparison(cfg)
+    with pytest.raises(ValidationError, match="pair_to_singles_ratio is required"):
+        comparison_rows(cfg, closed_form_report(make_config()))
+    # comparison_rows holds the one check: a fault of the rates comes first
+    with pytest.raises(UnequalWaists):
+        experiment_comparison(cfg._replace(signal=cfg.signal._replace(waist_w=50e-6)))
 
 
 # the shipped source, collinear, Snell-refracted, and so long that sampled frequencies repeat
