@@ -121,12 +121,14 @@ def _sample_range(config: SourceConfig, disp: float):
 
 
 def _product(config: SourceConfig, what: str, *factors) -> float:
-    """The left-to-right product of ``factors``.  Where d_eff != 0, refuses a
-    partial product below the smallest normal float: its digits, or all of it,
-    were lost to underflow, and a rate or efficiency would read short or 0."""
+    """The left-to-right product of ``factors``.  Refuses a partial product beyond
+    the float range and, where d_eff != 0, one below the smallest normal float: its
+    digits were lost to underflow, and a rate or efficiency would read short or 0."""
     product = 1.0
     for factor in factors:
         product *= factor
+        if not math.isfinite(product):
+            raise ComputationError(f"{what} = {product!r} is beyond the float range")
         if not abs(product) >= sys.float_info.min and config.d_eff != 0.0:
             raise ComputationError(f"{what} = {product!r} underflows the float range")
     return product
@@ -180,9 +182,6 @@ def _efficiencies(config: SourceConfig, rate: float):
     if config.collection_solid_angle_sr is None:
         return eff_mm, None
     eff_mm_sr = eff_mm / config.collection_solid_angle_sr
-    if not math.isfinite(eff_mm_sr):
-        raise ComputationError(f"efficiency {eff_mm_sr} pairs per pump photon per mm sr "
-                               "is beyond the float range")
     _product(config, "efficiency per mm sr", eff_mm_sr)
     return eff_mm, eff_mm_sr
 

@@ -456,13 +456,17 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     ["compare-experiment", "--set", "reference.xi=5e-307"],
     ["compare-experiment", "--set", "reference.r_t_per_mw_s=1e-300", "--set", "pump.waist_um=1e-3",
      "--set", "signal.waist_um=1e-3", "--set", "idler.waist_um=1e-3"],
+    # an observable paths ratio R_T that overflows read inf, as did the efficiency per mm,
+    # and exited 0
+    ["compare-experiment", "--set", 'collection={"external_angle_deg": 3.1, '
+     f'"pair_to_singles_ratio": 0.23, "decay_paths": {10 ** 306}}}', "--set", "reference={}"],
 ], ids=["degenerate-dispersion", "rate-overflow", "thin-rate-overflow", "density-overflow",
         "thin-efficiency-overflow", "gamma-underflow",
         "waist-underflow", "waist-overflow", "overlap-underflow", "efficiency-underflow",
         "rate-underflow-1e-280", "rate-underflow-1e-290", "rate-underflow-1e-297",
         "rate-underflow-1e-320", "total-rate-underflow", "length-underflow",
         "observable-underflow", "thin-efficiency-underflow", "deviation-percent-overflow",
-        "deviation-overflow"])
+        "deviation-overflow", "observable-overflow"])
 def test_cli_numerical_exit_code(tmp_path, capsys, argv):
     out = str(tmp_path / "o")
     source = ["--config", sg.builtin_config_path()] if argv[0] != "sweep-gamma" else []
@@ -1104,16 +1108,6 @@ def test_figures_are_the_command_tables_at_their_defaults(tmp_path):
         assert main([command, "--out", str(out)]) == 0
         assert (out / table).read_bytes() == (figures / figure).read_bytes()
         assert json.loads((out / "run_manifest.json").read_text())["parameters"] == manifest[key]
-
-
-def test_cli_determinism_sweep(tmp_path):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    args = ["--points", "51", "--xi-max", "1.0"]
-    assert main(["sweep-xi", "--out", out1] + args) == 0
-    assert main(["sweep-xi", "--out", out2] + args) == 0
-    b1 = pathlib.Path(out1, "sweep_xi.csv").read_bytes()
-    b2 = pathlib.Path(out2, "sweep_xi.csv").read_bytes()
-    assert b1 == b2
 
 
 # ---------------------------------------------------- adversarial CLI input
